@@ -13,7 +13,10 @@ Core::Core(sim::EventQueue* eq, CoreConfig config, MemSink* l1,
       l1_(l1),
       predictor_(config.branch) {
   NDP_CHECK(config_.rob_entries >= 4);
-  NDP_CHECK(config_.rob_entries + config_.issue_width < kRingSize);
+  // A µop may depend on one up to 255 positions older; those must not share
+  // a slot with any in-flight µop.
+  NDP_CHECK_MSG(config_.rob_entries + 255 < kRingSize,
+                "rob_entries too large for the ROB ring");
   stats.Counter("cycles", &stats_.cycles);
   stats.Counter("uops_retired", &stats_.uops_retired);
   stats.Counter("loads", &stats_.loads);
@@ -50,27 +53,24 @@ ndp::Status Core::Run(UopStream* stream, std::function<void(sim::Tick)> on_done)
 }
 
 std::optional<sim::Tick> Core::CompletionOf(uint64_t seq) const {
-  if (ring_seq_[seq % kRingSize] == seq) return ring_completion_[seq % kRingSize];
-  for (const RobEntry& e : rob_) {
-    if (e.seq == seq) {
-      if (e.completion_known) return e.completion;
-      return std::nullopt;
-    }
-  }
-  // Older than the ring: retired long ago.
-  return sim::Tick{0};
+  const RobEntry& e = Slot(seq);
+  // Slot reused by a younger µop: this one retired long ago.
+  if (e.seq != seq) return sim::Tick{0};
+  // A retired µop always has its completion; an in-flight one may not yet.
+  if (e.completion_known) return e.completion;
+  return std::nullopt;
 }
 
 void Core::ResolveCompletion(RobEntry* e) {
   if (e->completion_known) return;
-  if (e->uop.type == UopType::kLoad) return;  // set by the cache callback
+  if (e->is_load) return;  // set by the cache callback
   sim::Tick base = e->dispatch;
-  if (e->dep_seq) {
-    auto dep = CompletionOf(*e->dep_seq);
+  if (e->dep_seq != 0) {
+    auto dep = CompletionOf(e->dep_seq);
     if (!dep) return;  // dependence not resolved yet
     base = std::max(base, *dep);
   }
-  e->completion = base + e->uop.latency * clock().period_ps();
+  e->completion = base + e->latency * clock().period_ps();
   e->completion_known = true;
 }
 
@@ -79,7 +79,7 @@ bool Core::DispatchOne(sim::Tick now) {
     ++stats_.fetch_stall_cycles;
     return false;
   }
-  if (rob_.size() >= config_.rob_entries) {
+  if (RobOccupancy() >= config_.rob_entries) {
     ++stats_.rob_full_cycles;
     return false;
   }
@@ -92,28 +92,30 @@ bool Core::DispatchOne(sim::Tick now) {
     pending_uop_ = u;
   }
 
-  Uop& u = *pending_uop_;
-  RobEntry e;
-  e.uop = u;
-  e.seq = next_seq_;
+  const Uop& u = *pending_uop_;
+  // The entry is written in place; a µop that fails to dispatch leaves the
+  // slot to be rewritten next cycle. The slot's previous occupant retired at
+  // least kRingSize - rob_entries µops ago, beyond any dependence distance.
+  const uint64_t seq = next_seq_;
+  RobEntry& e = Slot(seq);
+  e.seq = seq;
+  e.dep_seq = u.dep_distance > 0 && seq > u.dep_distance
+                  ? seq - u.dep_distance
+                  : 0;
   e.dispatch = now;
-  if (u.dep_distance > 0 && next_seq_ > u.dep_distance) {
-    e.dep_seq = next_seq_ - u.dep_distance;
-  }
+  e.completion_known = false;
+  e.is_load = u.type == UopType::kLoad;
+  e.latency = u.latency;
 
   switch (u.type) {
     case UopType::kLoad: {
-      uint64_t seq = e.seq;
       bool ok = l1_->TryAccess(u.addr, /*is_write=*/false,
                                [this, seq](sim::Tick t) {
-                                 for (RobEntry& re : rob_) {
-                                   if (re.seq == seq) {
-                                     re.completion = t;
-                                     re.completion_known = true;
-                                     return;
-                                   }
-                                 }
-                                 NDP_CHECK_MSG(false, "load completion lost");
+                                 RobEntry& re = Slot(seq);
+                                 NDP_CHECK_MSG(re.seq == seq && seq >= head_seq_,
+                                               "load completion lost");
+                                 re.completion = t;
+                                 re.completion_known = true;
                                });
       if (!ok) {
         ++stats_.load_reject_cycles;
@@ -138,7 +140,7 @@ bool Core::DispatchOne(sim::Tick now) {
       if (!correct) {
         ++stats_.mispredicts;
         if (config_.block_on_mispredict_resolution) {
-          fetch_blocked_on_seq_ = e.seq;
+          fetch_blocked_on_seq_ = seq;
         } else {
           // Front-end refill bubble only; in-flight work keeps executing.
           fetch_stalled_until_ =
@@ -154,11 +156,23 @@ bool Core::DispatchOne(sim::Tick now) {
       break;
   }
 
-  rob_.push_back(std::move(e));
-  ResolveCompletion(&rob_.back());
+  ResolveCompletion(&e);
   ++next_seq_;
   pending_uop_.reset();
   return true;
+}
+
+void Core::DispatchAluRun(sim::Tick now, uint64_t n) {
+  // Each µop is `Uop{}`: no dependence, one cycle, so its completion is
+  // known at dispatch, exactly as DispatchOne + ResolveCompletion compute it.
+  // The other fields are read only while a completion is unknown.
+  const sim::Tick completion = now + clock().period_ps();
+  for (uint64_t end = next_seq_ + n; next_seq_ < end; ++next_seq_) {
+    RobEntry& e = Slot(next_seq_);
+    e.seq = next_seq_;
+    e.completion = completion;
+    e.completion_known = true;
+  }
 }
 
 void Core::DrainStore(uint64_t addr) {
@@ -192,7 +206,7 @@ void Core::RetryDrains() {
 }
 
 void Core::FinishIfDone(sim::Tick now) {
-  if (stream_exhausted_ && !pending_uop_ && rob_.empty() &&
+  if (stream_exhausted_ && !pending_uop_ && RobOccupancy() == 0 &&
       outstanding_stores_ == 0 && stream_ != nullptr) {
     stream_ = nullptr;
     auto cb = std::move(on_done_);
@@ -207,15 +221,14 @@ bool Core::Tick() {
   ++stats_.cycles;
 
   // Retire stage.
-  for (uint32_t r = 0; r < config_.retire_width && !rob_.empty(); ++r) {
-    RobEntry& head = rob_.front();
+  for (uint32_t r = 0; r < config_.retire_width && head_seq_ != next_seq_;
+       ++r) {
+    RobEntry& head = Slot(head_seq_);
     ResolveCompletion(&head);
     if (!head.completion_known || head.completion > now) break;
     stats_.max_retire_gap_ps =
         std::max(stats_.max_retire_gap_ps, now - last_retire_tick_);
     last_retire_tick_ = now;
-    ring_seq_[head.seq % kRingSize] = head.seq;
-    ring_completion_[head.seq % kRingSize] = head.completion;
     if (fetch_blocked_on_seq_ && *fetch_blocked_on_seq_ == head.seq) {
       fetch_blocked_on_seq_.reset();
       fetch_stalled_until_ =
@@ -223,12 +236,27 @@ bool Core::Tick() {
           config_.branch.mispredict_penalty_cycles * clock().period_ps();
     }
     ++stats_.uops_retired;
-    rob_.pop_front();
+    ++head_seq_;
   }
 
-  // Dispatch stage.
-  for (uint32_t d = 0; d < config_.issue_width; ++d) {
+  // Dispatch stage. Where the stream offers a run of `Uop{}`, as many as fit
+  // this cycle go in at once; anything else, and every stall, takes the
+  // per-µop path, which also does the stall accounting.
+  for (uint32_t d = 0; d < config_.issue_width;) {
+    if (!pending_uop_ && !stream_exhausted_ && !fetch_blocked_on_seq_ &&
+        now >= fetch_stalled_until_ &&
+        RobOccupancy() < config_.rob_entries) {
+      uint64_t room = config_.rob_entries - RobOccupancy();
+      uint64_t n = stream_->TakeAluRun(
+          std::min<uint64_t>(config_.issue_width - d, room));
+      if (n > 0) {
+        DispatchAluRun(now, n);
+        d += static_cast<uint32_t>(n);
+        continue;
+      }
+    }
     if (!DispatchOne(now)) break;
+    ++d;
   }
 
   FinishIfDone(now);

@@ -4,6 +4,18 @@
 // gshare branch predictor with a redirect penalty, and single-level data
 // dependences between µops. Executes lazy µop streams (UopStream), so the
 // 4M-row select loop of Figure 3 never materializes its trace.
+//
+// Host cost is O(1) per µop. The ROB is one power-of-two ring indexed by
+// sequence number: the µop with seq `s` lives in slot `s & (kRingSize - 1)`
+// from dispatch until the slot is reused kRingSize µops later, so a
+// dependence lookup or a load's completion callback is a single slot access.
+// The ring outlives retirement on purpose: kRingSize > rob_entries + 255
+// (the largest dep_distance) guarantees that every µop a dispatching or
+// retiring µop can depend on is still in its slot. Runs of independent
+// 1-cycle ALU µops (a replayed trace's compute gaps) are dispatched in bulk
+// through UopStream::TakeAluRun, without a per-µop Next() call; each µop
+// still takes a ROB slot and retires at retire_width per cycle, so the
+// simulated timing is exactly that of dispatching them one by one.
 #pragma once
 
 #include <cstdint>
@@ -99,25 +111,38 @@ class Core : public sim::TickingComponent {
   bool Tick() override;
 
  private:
+  /// One ROB slot, written in place at dispatch. After retirement it keeps
+  /// the µop's completion until the slot is reused.
   struct RobEntry {
-    Uop uop;
-    uint64_t seq = 0;
+    uint64_t seq = 0;          ///< 0 = never used (sequence numbers start at 1)
+    uint64_t dep_seq = 0;      ///< producer's seq; 0 = independent
     sim::Tick dispatch = 0;
+    sim::Tick completion = 0;  ///< valid once completion_known
     bool completion_known = false;
-    sim::Tick completion = 0;
-    std::optional<uint64_t> dep_seq;
+    bool is_load = false;      ///< completion comes from the cache callback
+    uint8_t latency = 1;
   };
 
+  RobEntry& Slot(uint64_t seq) { return rob_[seq & (kRingSize - 1)]; }
+  const RobEntry& Slot(uint64_t seq) const {
+    return rob_[seq & (kRingSize - 1)];
+  }
+  uint64_t RobOccupancy() const { return next_seq_ - head_seq_; }
+
   /// Completion tick of a retired-or-inflight µop by sequence number, if
-  /// known. Looks first in the recent-retirement ring, then in the ROB.
+  /// known; 0 for a µop whose slot has been reused (retired long ago).
   std::optional<sim::Tick> CompletionOf(uint64_t seq) const;
   void ResolveCompletion(RobEntry* e);
   bool DispatchOne(sim::Tick now);
+  void DispatchAluRun(sim::Tick now, uint64_t n);
   void DrainStore(uint64_t addr);
   void RetryDrains();
   void FinishIfDone(sim::Tick now);
 
+  /// Holds the in-flight window plus the last 255+ retired µops, the
+  /// farthest back a dep_distance reaches.
   static constexpr size_t kRingSize = 512;
+  static_assert((kRingSize & (kRingSize - 1)) == 0, "ring must be a power of 2");
 
   CoreConfig config_;
   MemSink* l1_;
@@ -126,11 +151,10 @@ class Core : public sim::TickingComponent {
   UopStream* stream_ = nullptr;
   std::function<void(sim::Tick)> on_done_;
 
-  std::deque<RobEntry> rob_;
-  std::optional<Uop> pending_uop_;  ///< fetched but not yet dispatched
+  RobEntry rob_[kRingSize];
+  uint64_t head_seq_ = 1;  ///< oldest in-flight µop; == next_seq_ when empty
   uint64_t next_seq_ = 1;
-  sim::Tick ring_completion_[kRingSize] = {};
-  uint64_t ring_seq_[kRingSize] = {};
+  std::optional<Uop> pending_uop_;  ///< fetched but not yet dispatched
 
   std::optional<uint64_t> fetch_blocked_on_seq_;
   sim::Tick fetch_stalled_until_ = 0;

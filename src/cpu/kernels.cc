@@ -1,5 +1,7 @@
 #include "cpu/kernels.h"
 
+#include <algorithm>
+
 namespace ndp::cpu {
 
 bool SelectScanStream::Next(Uop* uop) {
@@ -371,6 +373,17 @@ bool ReplayStream::Next(Uop* uop) {
       }
     }
   }
+}
+
+uint64_t ReplayStream::TakeAluRun(uint64_t max) {
+  // Entering a compute gap here instead of in Next() consumes the same events.
+  while (compute_left_ == 0 && i_ < events_->size() &&
+         (*events_)[i_].kind == TraceEvent::Kind::kCompute) {
+    compute_left_ = (*events_)[i_++].value;
+  }
+  uint64_t n = std::min(max, compute_left_);
+  compute_left_ -= n;
+  return n;
 }
 
 }  // namespace ndp::cpu

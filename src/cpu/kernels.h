@@ -219,6 +219,9 @@ class ConcatStream : public UopStream {
     }
     return false;
   }
+  uint64_t TakeAluRun(uint64_t max) override {
+    return i_ < children_.size() ? children_[i_]->TakeAluRun(max) : 0;
+  }
 
  private:
   std::vector<UopStream*> children_;
@@ -232,6 +235,8 @@ class ReplayStream : public UopStream {
       : events_(events) {}
 
   bool Next(Uop* uop) override;
+  /// Compute gaps are runs of `Uop{}`; hands them over from compute_left_.
+  uint64_t TakeAluRun(uint64_t max) override;
 
  private:
   const std::vector<TraceEvent>* events_;

@@ -33,6 +33,12 @@ class UopStream {
   virtual ~UopStream() = default;
   /// Produces the next µop. Returns false at end of stream.
   virtual bool Next(Uop* uop) = 0;
+  /// Hands over up to `max` µops in one call, all of them exactly `Uop{}`
+  /// (independent 1-cycle ALU ops), and returns how many. Returning n
+  /// promises that the next n Next() calls would have produced `Uop{}`; those
+  /// µops are consumed. The core dispatches them without a per-µop Next().
+  /// Default: no run.
+  virtual uint64_t TakeAluRun(uint64_t /*max*/) { return 0; }
 };
 
 }  // namespace ndp::cpu

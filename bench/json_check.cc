@@ -233,8 +233,8 @@ bool CheckFile(const char* path) {
         return false;
       }
       for (const auto& [key, value] : counters->members()) {
-        // Registry counter paths are dotted (e.g. "sim.part0.events"): a key
-        // with no dot is a metric that leaked into the wrong object.
+        // Registry counter paths are dotted (e.g. "dram.ctrl0.reads_served"):
+        // a key with no dot is a metric that leaked into the wrong object.
         if (key.find('.') == std::string::npos || !value.is_number()) {
           std::fprintf(stderr,
                        "%s: point \"%s\": counter \"%s\" is not a dotted "

@@ -6,19 +6,8 @@ namespace ndp::core {
 
 DimmArray::DimmArray(dram::DramTiming timing, uint32_t channels,
                      uint32_t ranks_per_channel,
-                     jafar::DeviceConfig device_config, uint32_t rows_per_bank,
-                     bool partitioned)
+                     jafar::DeviceConfig device_config, uint32_t rows_per_bank)
     : timing_(std::move(timing)), device_config_(device_config) {
-  if (partitioned) {
-    // One partition per channel plus a host partition for runtime logic.
-    // Lookahead = one DDR3 bus cycle: the cheapest modeled host<->device
-    // interaction (a command hop across the channel interface) — see
-    // DESIGN.md §5 for the derivation.
-    host_partition_ = channels;
-    partitions_ = std::make_unique<sim::PartitionSet>(
-        channels + 1, /*lookahead_ps=*/timing_.tck_ps,
-        /*cycle_ps=*/timing_.tck_ps);
-  }
   dram::DramOrganization org;
   org.channels = channels;
   org.ranks_per_channel = ranks_per_channel;
@@ -26,8 +15,8 @@ DimmArray::DimmArray(dram::DramTiming timing, uint32_t channels,
   dram::ControllerConfig mc;
   StatsScope root(&stats_, "array");
   dram_ = std::make_unique<dram::DramSystem>(
-      &eq(), timing_, org, dram::InterleaveScheme::kContiguous, mc,
-      root.Sub("dram"), partitions_.get());
+      &eq_, timing_, org, dram::InterleaveScheme::kContiguous, mc,
+      root.Sub("dram"));
   for (uint32_t ch = 0; ch < channels; ++ch) {
     for (uint32_t rk = 0; rk < ranks_per_channel; ++rk) {
       devices_.push_back(std::make_unique<jafar::Device>(
@@ -35,46 +24,17 @@ DimmArray::DimmArray(dram::DramTiming timing, uint32_t channels,
           root.Sub("dev" + std::to_string(devices_.size()))));
     }
   }
-  // Legacy single-wheel arrays keep the seed's exact registry contents; the
-  // partition counters exist only where partitions do.
-  if (partitions_) {
-    partitions_->RegisterStats(StatsScope(&stats_, "sim"));
-  }
   ResetAllocators();
-}
-
-void DimmArray::PostToDevice(uint32_t device, std::function<void()> fn) {
-  if (!partitions_) {
-    fn();
-    return;
-  }
-  partitions_->Send(host_partition_, devices_[device]->channel_index(),
-                    /*extra_delay_ps=*/0, std::move(fn));
-}
-
-void DimmArray::PostToHost(uint32_t device, std::function<void()> fn) {
-  if (!partitions_) {
-    fn();
-    return;
-  }
-  partitions_->Send(devices_[device]->channel_index(), host_partition_,
-                    /*extra_delay_ps=*/0, std::move(fn));
 }
 
 void DimmArray::AcquireAllOwnership() {
   uint32_t granted = 0;
-  for (uint32_t d = 0; d < devices_.size(); ++d) {
-    jafar::Device& dev = *devices_[d];
-    // The grant callback fires on the channel partition; the shared counter
-    // lives host-side, so it is bumped through the port (inline in legacy
-    // mode — identical to the seed behavior).
-    dram_->controller(dev.channel_index())
-        .TransferOwnership(dev.rank_index(), dram::RankOwner::kAccelerator,
-                           [this, d, &granted](sim::Tick) {
-                             PostToHost(d, [&granted] { ++granted; });
-                           });
+  for (const auto& dev : devices_) {
+    dram_->controller(dev->channel_index())
+        .TransferOwnership(dev->rank_index(), dram::RankOwner::kAccelerator,
+                           [&granted](sim::Tick) { ++granted; });
   }
-  NDP_CHECK(RunUntilTrue([&] { return granted == devices_.size(); }));
+  NDP_CHECK(eq_.RunUntilTrue([&] { return granted == devices_.size(); }));
 }
 
 uint64_t DimmArray::RankBase(uint32_t device) const {
@@ -204,10 +164,8 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
     return Status::FailedPrecondition("LoadPartitioned was not called");
   }
   StatsSnapshot before = stats_.Snapshot();
-  sim::Tick start = eq().Now();
-  // Per-device completion slots, written host-side only (the device's done
-  // callback hops back through the port): summing/maxing them at barriers is
-  // order-independent, so the result is identical at every thread count.
+  sim::Tick start = eq_.Now();
+  // Per-device completion slots, written by each device's done callback.
   std::vector<uint8_t> dev_done(parts_.size(), 0);
   std::vector<sim::Tick> dev_end(parts_.size(), start);
   for (size_t i = 0; i < parts_.size(); ++i) {
@@ -223,14 +181,12 @@ Result<DimmArray::ParallelResult> DimmArray::RunParallelSelect(int64_t lo,
     // failed RunUntilTrue drain check below; no queueing to bypass here.
     // ndp-lint: watchdog-arm-ok  ndp-lint: runtime-bypass-ok  harness drains
     NDP_RETURN_NOT_OK(devices_[d]->StartSelect(
-        job, [this, d, i, &dev_done, &dev_end](sim::Tick t) {
-          PostToHost(d, [i, t, &dev_done, &dev_end] {
-            dev_done[i] = 1;
-            dev_end[i] = t;
-          });
+        job, [i, &dev_done, &dev_end](sim::Tick t) {
+          dev_done[i] = 1;
+          dev_end[i] = t;
         }));
   }
-  if (!RunUntilTrue([&] {
+  if (!eq_.RunUntilTrue([&] {
         for (uint8_t f : dev_done) {
           if (!f) return false;
         }

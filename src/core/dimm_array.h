@@ -5,16 +5,13 @@
 // natural scale-out of select pushdown.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "db/column.h"
 #include "db/operators.h"
 #include "dram/dram_system.h"
 #include "jafar/device.h"
-#include "sim/partition.h"
 #include "util/bitvector.h"
 #include "util/stats_registry.h"
 
@@ -39,25 +36,14 @@ struct PlacedColumn {
 class DimmArray {
  public:
   /// Builds `channels x ranks_per_channel` units over a fresh DRAM system.
-  /// With `partitioned` set, the simulation splits into channels + 1 timing-
-  /// wheel partitions (one per channel plus a host partition) advanced by
-  /// conservative epoch barriers on NDP_SIM_THREADS workers; cross-partition
-  /// interactions cost one lookahead hop (one DDR3 bus cycle) each way. The
-  /// default single-wheel mode is bit-identical to the seed kernel and
-  /// serves as the ordering oracle.
+  /// Every controller and device schedules on the array's one event queue.
   DimmArray(dram::DramTiming timing, uint32_t channels,
             uint32_t ranks_per_channel, jafar::DeviceConfig device_config,
-            uint32_t rows_per_bank = 8192, bool partitioned = false);
+            uint32_t rows_per_bank = 8192);
   NDP_DISALLOW_COPY_AND_ASSIGN(DimmArray);
 
   uint32_t num_devices() const { return static_cast<uint32_t>(devices_.size()); }
-  /// Host-side wheel: the host partition's queue in partitioned mode, the
-  /// single global queue otherwise.
-  sim::EventQueue& eq() {
-    return partitions_ ? partitions_->queue(host_partition_) : eq_;
-  }
-  bool partitioned() const { return partitions_ != nullptr; }
-  sim::PartitionSet* partitions() { return partitions_.get(); }
+  sim::EventQueue& eq() { return eq_; }
   dram::DramSystem& dram() { return *dram_; }
   jafar::Device& device(uint32_t i) { return *devices_[i]; }
   const dram::DramTiming& timing() const { return timing_; }
@@ -66,35 +52,8 @@ class DimmArray {
   /// Grants every device its rank (MR3/MPR on each controller). Synchronous.
   void AcquireAllOwnership();
 
-  // -- Barrier-safe execution & cross-partition ports -----------------------
-  // In partitioned mode these are the only legal ways for host-side code to
-  // drive the simulation or to interact with a device/controller that lives
-  // on another partition's wheel. In single-wheel mode they collapse to the
-  // legacy behavior (immediate call / plain eq() run), so the runtime keeps
-  // one code path for both.
-
-  /// Runs `fn` on `device`'s channel partition one lookahead hop from now
-  /// (immediately, in single-wheel mode).
-  void PostToDevice(uint32_t device, std::function<void()> fn);
-  /// Runs `fn` on the host partition one lookahead hop from now
-  /// (immediately, in single-wheel mode). Call from the device's partition.
-  void PostToHost(uint32_t device, std::function<void()> fn);
-
-  /// Pumps the simulation until `pred()` holds (at epoch barriers in
-  /// partitioned mode, per event otherwise) or no work remains.
-  template <typename Pred>
-  bool RunUntilTrue(Pred&& pred) {
-    if (partitions_) return partitions_->RunUntilTrue(std::forward<Pred>(pred));
-    return eq_.RunUntilTrue(std::forward<Pred>(pred));
-  }
   /// Runs every event at time <= `until`, then advances Now() to `until`.
-  void RunUntil(sim::Tick until) {
-    if (partitions_) {
-      partitions_->RunUntil(until);
-    } else {
-      eq_.RunUntil(until);
-    }
-  }
+  void RunUntil(sim::Tick until) { eq_.RunUntil(until); }
 
   /// Splits `rows` into per-device counts (size n, zeros allowed), every
   /// count a multiple of 64 except a single sub-64 tail on the last non-empty
@@ -142,9 +101,7 @@ class DimmArray {
   StatsRegistry* mutable_stats() { return &stats_; }
 
  private:
-  sim::EventQueue eq_;  ///< single-wheel (oracle) mode's only queue
-  std::unique_ptr<sim::PartitionSet> partitions_;  ///< null in legacy mode
-  uint32_t host_partition_ = 0;  ///< partition index after the channels
+  sim::EventQueue eq_;
   dram::DramTiming timing_;
   StatsRegistry stats_;  ///< declared before the components registered in it
   std::unique_ptr<dram::DramSystem> dram_;

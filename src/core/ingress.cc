@@ -263,7 +263,7 @@ void ServingIngress::Start() {
 void ServingIngress::Stop() { running_ = false; }
 
 Status ServingIngress::Drain() {
-  if (!array_->RunUntilTrue([this] { return slots_in_use() == 0; })) {
+  if (!array_->eq().RunUntilTrue([this] { return slots_in_use() == 0; })) {
     return Status::Internal(
         "ingress drain stalled: requests pending, event queue dry");
   }

@@ -145,8 +145,8 @@ struct IngressCounters {
 /// \brief The serving front door: rings -> slot pool -> burst admission into
 /// the NdpRuntime, with the governor deciding who gets in and where.
 ///
-/// Single-threaded within the host partition of the simulation (every ring
-/// has one producer — the client fleet — and one consumer — the pump), so
+/// Single-threaded, like the rest of the simulation (every ring has one
+/// producer — the client fleet — and one consumer — the pump), so
 /// the SPSC contract holds by construction. Stats register in the array's
 /// registry; keep the ingress alive for as long as that registry is read.
 class ServingIngress {

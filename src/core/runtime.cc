@@ -46,6 +46,19 @@ Status OverlayEnvU64(const char* name, uint64_t* field) {
   return Status::OK();
 }
 
+/// An engine lease's outcome, read from the driver's status register: OK
+/// unless the device flagged an error, then the device's last job status (or
+/// a generic internal error naming `what` when that status is OK).
+Status EngineLeaseStatus(const jafar::Driver& driver,
+                         const jafar::Device& device, const char* what) {
+  if (driver.registers().Read(jafar::Reg::kStatus) !=
+      static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
+    return Status::OK();
+  }
+  const Status& dev_status = device.last_job_status();
+  return dev_status.ok() ? Status::Internal(what) : dev_status;
+}
+
 Status OverlayEnvDouble(const char* name, double* field) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return Status::OK();
@@ -298,8 +311,6 @@ struct NdpRuntime::Lane {
   uint32_t defers = 0;
 
   // Host-window observation bookkeeping.
-  bool has_window = false;
-  bool sampling_inflight = false;  ///< a SampleChannel round-trip is pending
   sim::Tick window_start_ps = 0;
   double busy_base = 0, req_base = 0;
 
@@ -442,7 +453,7 @@ Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
   }
   // One wake-up for the whole burst: every chunk of every request is queued
   // (priority, seq)-ordered before any lane picks its next lease.
-  for (auto& lane : lanes_) Poke(*lane);
+  for (auto& lane : lanes_) MaybeDispatch(*lane);
   return ids;
 }
 
@@ -584,7 +595,7 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   // lanes immediately volunteer as steal targets for it. Burst admission
   // (poke_lanes=false) defers even this to the end of the burst.
   if (poke_lanes) {
-    for (auto& lane : lanes_) Poke(*lane);
+    for (auto& lane : lanes_) MaybeDispatch(*lane);
   }
   return j->id;
 }
@@ -612,32 +623,23 @@ void NdpRuntime::InsertChunk(Lane& lane, std::unique_ptr<Chunk> chunk) {
 
 void NdpRuntime::EnqueueChunk(Lane& lane, std::unique_ptr<Chunk> chunk) {
   InsertChunk(lane, std::move(chunk));
-  Poke(lane);
+  MaybeDispatch(lane);
   // New backlog is a steal opportunity: idle siblings (their own queues
   // drained) would otherwise park forever, since nothing else re-pokes them.
   for (auto& other : lanes_) {
-    if (other.get() != &lane) Poke(*other);
-  }
-}
-
-void NdpRuntime::Poke(Lane& lane) {
-  if (lane.state == Lane::State::kIdle && !lane.sampling_inflight) {
-    MaybeDispatch(lane);
+    if (other.get() != &lane) MaybeDispatch(*other);
   }
 }
 
 void NdpRuntime::MaybeDispatch(Lane& lane) {
-  if (lane.state != Lane::State::kIdle || lane.sampling_inflight) return;
+  if (lane.state != Lane::State::kIdle) return;
   // Refresh the utilization estimate if the lane has been idle long enough to
   // have accumulated a meaningful window (e.g. first dispatch after a stretch
   // of host-only traffic). Freshly observed windows (OnWindowEnd) are not
   // re-sampled: the elapsed time since is below the minimum window.
-  if (lane.has_window &&
-      eq_.Now() - lane.window_start_ps >=
-          BusCyclesToPs(config_.host_window_min_bus_cycles)) {
-    uint32_t li = lane.index;
-    ObserveWindowThen(lane, [this, li] { DispatchNow(*lanes_[li]); });
-    return;
+  if (eq_.Now() - lane.window_start_ps >=
+      BusCyclesToPs(config_.host_window_min_bus_cycles)) {
+    ObserveWindow(lane);
   }
   DispatchNow(lane);
 }
@@ -677,8 +679,8 @@ void NdpRuntime::DispatchNow(Lane& lane) {
                         Lane& l = *lanes_[li];
                         if (l.state != Lane::State::kDeferred) return;
                         l.state = Lane::State::kIdle;
-                        ObserveWindowThen(
-                            l, [this, li] { MaybeDispatch(*lanes_[li]); });
+                        ObserveWindow(l);
+                        MaybeDispatch(l);
                       });
     return;
   }
@@ -708,45 +710,23 @@ void NdpRuntime::StartLease(Lane& lane) {
   ++counters_.leases;
   ++lane.active->job->leases;
   uint32_t li = lane.index;
-  uint32_t dev = lane.device;
-  // The driver lives on the device's channel partition: the acquire request
-  // travels out through the port and its grant travels back, one lookahead
-  // hop each way (both immediate in single-wheel mode).
-  array_->PostToDevice(dev, [this, li, dev] {
-    lanes_[li]->driver->AcquireOwnership([this, li, dev](sim::Tick) {
-      array_->PostToHost(dev,
-                         [this, li] { OnOwnershipAcquired(*lanes_[li]); });
-    });
-  });
+  lane.driver->AcquireOwnership(
+      [this, li](sim::Tick) { OnOwnershipAcquired(*lanes_[li]); });
 }
 
 void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
   Chunk& c = *lane.active;
   uint32_t li = lane.index;
-  uint32_t dev = lane.device;
   if (c.job->kind == JobKind::kSelect) {
-    // Job parameters are computed host-side; the submission itself and the
-    // completion's status/row-count extraction run on the channel partition,
-    // with only plain values crossing back through the port.
-    uint64_t col_addr = c.col_base + c.rows_done * 8;
-    uint64_t out_addr = c.out_base + c.rows_done / 8;
-    int64_t lo = c.job->lo, hi = c.job->hi;
-    uint64_t rows = lane.cur_lease_rows;
-    array_->PostToDevice(
-        dev, [this, li, dev, col_addr, out_addr, lo, hi, rows] {
-          Status st = lanes_[li]->driver->SelectJafar(
-              col_addr, lo, hi, out_addr, rows, /*flag_addr=*/0,
-              [this, li, dev](const jafar::SelectResult& r) {
-                Status s = r.status;
-                uint64_t n = r.num_output_rows;
-                array_->PostToHost(dev, [this, li, s, n] {
-                  OnLeaseDone(*lanes_[li], s, n);
-                });
-              });
-          // Alignment invariants guarantee a valid call; a synchronous
-          // rejection is a wiring bug, not a device fault.
-          NDP_CHECK_MSG(st.ok(), st.message().c_str());
+    Status st = lane.driver->SelectJafar(
+        c.col_base + c.rows_done * 8, c.job->lo, c.job->hi,
+        c.out_base + c.rows_done / 8, lane.cur_lease_rows, /*flag_addr=*/0,
+        [this, li](const jafar::SelectResult& r) {
+          OnLeaseDone(*lanes_[li], r.status, r.num_output_rows);
         });
+    // Alignment invariants guarantee a valid call; a synchronous rejection
+    // is a wiring bug, not a device fault.
+    NDP_CHECK_MSG(st.ok(), st.message().c_str());
     return;
   }
   if (c.job->kind == JobKind::kProbe) {
@@ -762,25 +742,13 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
     job.filter_base = filter.value();
     job.filter_words = c.job->filter_words;
     job.hash_count = c.job->hash_count;
-    array_->PostToDevice(dev, [this, li, dev, job] {
-      Status st = lanes_[li]->driver->ProbeJafar(job, [this, li,
-                                                       dev](sim::Tick) {
-        Lane& l = *lanes_[li];
-        Status cause = Status::OK();
-        uint64_t n = 0;
-        if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-            static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-          Status dev_status = array_->device(l.device).last_job_status();
-          cause = dev_status.ok() ? Status::Internal("probe failed")
-                                  : dev_status;
-        } else {
-          n = array_->device(l.device).last_match_count();
-        }
-        array_->PostToHost(
-            dev, [this, li, cause, n] { OnLeaseDone(*lanes_[li], cause, n); });
-      });
-      NDP_CHECK_MSG(st.ok(), st.message().c_str());
+    Status st = lane.driver->ProbeJafar(job, [this, li](sim::Tick) {
+      Lane& l = *lanes_[li];
+      const jafar::Device& device = array_->device(l.device);
+      Status cause = EngineLeaseStatus(*l.driver, device, "probe failed");
+      OnLeaseDone(l, cause, cause.ok() ? device.last_match_count() : 0);
     });
+    NDP_CHECK_MSG(st.ok(), st.message().c_str());
     return;
   }
   if (c.job->kind == JobKind::kGroupBy) {
@@ -843,22 +811,14 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
     job.key_offset = k0;
     job.bitmap_base = 0;
     job.out_base = lane.gb_scratch;
-    array_->PostToDevice(dev, [this, li, dev, job] {
-      Status st = lanes_[li]->driver->GroupByJafar(job, [this, li,
-                                                         dev](sim::Tick) {
-        Lane& l = *lanes_[li];
-        Status cause = Status::OK();
-        if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-            static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-          Status dev_status = array_->device(l.device).last_job_status();
-          cause = dev_status.ok() ? Status::Internal("group-by failed")
-                                  : dev_status;
-        }
-        array_->PostToHost(
-            dev, [this, li, cause] { OnLeaseDone(*lanes_[li], cause, 0); });
-      });
-      NDP_CHECK_MSG(st.ok(), st.message().c_str());
+    Status st = lane.driver->GroupByJafar(job, [this, li](sim::Tick) {
+      Lane& l = *lanes_[li];
+      OnLeaseDone(l,
+                  EngineLeaseStatus(*l.driver, array_->device(l.device),
+                                    "group-by failed"),
+                  0);
     });
+    NDP_CHECK_MSG(st.ok(), st.message().c_str());
     return;
   }
   if (lane.agg_scratch == 0) {
@@ -875,24 +835,14 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
   job.kind = c.job->agg;
   job.bitmap_base = 0;
   job.out_addr = lane.agg_scratch;
-  array_->PostToDevice(dev, [this, li, dev, job] {
-    Status st = lanes_[li]->driver->AggregateJafar(job, [this, li,
-                                                         dev](sim::Tick) {
-      // The status register and last-job status live lane-side: read them
-      // here and ship only the resolved cause across the port.
-      Lane& l = *lanes_[li];
-      Status cause = Status::OK();
-      if (l.driver->registers().Read(jafar::Reg::kStatus) ==
-          static_cast<uint64_t>(jafar::DeviceStatus::kError)) {
-        Status dev_status = array_->device(l.device).last_job_status();
-        cause = dev_status.ok() ? Status::Internal("aggregate failed")
-                                : dev_status;
-      }
-      array_->PostToHost(
-          dev, [this, li, cause] { OnLeaseDone(*lanes_[li], cause, 0); });
-    });
-    NDP_CHECK_MSG(st.ok(), st.message().c_str());
+  Status st = lane.driver->AggregateJafar(job, [this, li](sim::Tick) {
+    Lane& l = *lanes_[li];
+    OnLeaseDone(l,
+                EngineLeaseStatus(*l.driver, array_->device(l.device),
+                                  "aggregate failed"),
+                0);
   });
+  NDP_CHECK_MSG(st.ok(), st.message().c_str());
 }
 
 void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
@@ -960,13 +910,8 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     UpdateHeavyHitters();
   }
   uint32_t li = lane.index;
-  uint32_t dev = lane.device;
-  array_->PostToDevice(dev, [this, li, dev] {
-    lanes_[li]->driver->ReleaseOwnership([this, li, dev](sim::Tick) {
-      array_->PostToHost(dev,
-                         [this, li] { OnOwnershipReleased(*lanes_[li]); });
-    });
-  });
+  lane.driver->ReleaseOwnership(
+      [this, li](sim::Tick) { OnOwnershipReleased(*lanes_[li]); });
 }
 
 void NdpRuntime::OnOwnershipReleased(Lane& lane) {
@@ -991,76 +936,41 @@ void NdpRuntime::OnOwnershipReleased(Lane& lane) {
 void NdpRuntime::OnWindowEnd(Lane& lane) {
   if (lane.state != Lane::State::kWaiting) return;  // lane died meanwhile
   lane.state = Lane::State::kIdle;
-  uint32_t li = lane.index;
-  ObserveWindowThen(lane, [this, li] { MaybeDispatch(*lanes_[li]); });
+  ObserveWindow(lane);
+  MaybeDispatch(lane);
 }
 
 void NdpRuntime::BeginWindow(Lane& lane) {
-  lane.has_window = true;
-  lane.sampling_inflight = true;
-  uint32_t li = lane.index;
-  SampleChannel(lane, [this, li](double busy, double reqs) {
-    Lane& l = *lanes_[li];
-    l.sampling_inflight = false;
-    l.window_start_ps = eq_.Now();
-    l.busy_base = busy;
-    l.req_base = reqs;
-    // A submission may have been poked away while the sample was in flight
-    // (Poke skips sampling lanes); catch it up now. In single-wheel mode the
-    // sample is synchronous, so this fires with nothing queued and the
-    // dispatch path no-ops — same behavior as before the port round-trip.
-    if (l.state == Lane::State::kIdle) MaybeDispatch(l);
-  });
+  lane.window_start_ps = eq_.Now();
+  lane.busy_base = ReadChannelBusyCycles(lane.channel);
+  lane.req_base = ReadChannelRequests(lane.channel);
 }
 
-void NdpRuntime::SampleChannel(Lane& lane,
-                               std::function<void(double, double)> k) {
-  uint32_t ch = lane.channel;
-  uint32_t dev = lane.device;
-  array_->PostToDevice(dev, [this, ch, dev, k = std::move(k)] {
-    double busy = ReadChannelBusyCycles(ch);
-    double reqs = ReadChannelRequests(ch);
-    array_->PostToHost(dev, [k, busy, reqs] { k(busy, reqs); });
-  });
-}
-
-void NdpRuntime::ObserveWindowThen(Lane& lane, std::function<void()> k) {
-  if (!lane.has_window || lane.sampling_inflight) {
-    // Either no window to observe or a sample round-trip is already pending
-    // (which will refresh the bases itself): skip, but keep the continuation
-    // — deterministically, in every mode.
-    k();
-    return;
-  }
-  lane.sampling_inflight = true;
-  uint32_t li = lane.index;
-  SampleChannel(lane, [this, li, k = std::move(k)](double busy, double reqs) {
-    Lane& l = *lanes_[li];
-    l.sampling_inflight = false;
-    sim::Tick now = eq_.Now();
-    uint64_t window_cycles =
-        (now - l.window_start_ps) / array_->timing().tck_ps;
-    if (window_cycles > 0) {
-      uint64_t busy_cycles =
-          static_cast<uint64_t>(std::max(0.0, busy - l.busy_base));
-      uint64_t requests =
-          static_cast<uint64_t>(std::max(0.0, reqs - l.req_base));
-      if (::getenv("NDP_RUNTIME_DEBUG")) {
-        std::fprintf(
-            stderr, "[obs] lane=%u win=%llu busy=%llu reqs=%llu ewma=%f\n",
-            l.index, (unsigned long long)window_cycles,
-            (unsigned long long)busy_cycles, (unsigned long long)requests,
-            controllers_[l.channel]->ewma_busy_fraction());
-      }
-      controllers_[l.channel]->Observe(window_cycles,
-                                      std::min(busy_cycles, window_cycles),
-                                      requests);
+void NdpRuntime::ObserveWindow(Lane& lane) {
+  double busy = ReadChannelBusyCycles(lane.channel);
+  double reqs = ReadChannelRequests(lane.channel);
+  sim::Tick now = eq_.Now();
+  uint64_t window_cycles =
+      (now - lane.window_start_ps) / array_->timing().tck_ps;
+  if (window_cycles > 0) {
+    uint64_t busy_cycles =
+        static_cast<uint64_t>(std::max(0.0, busy - lane.busy_base));
+    uint64_t requests =
+        static_cast<uint64_t>(std::max(0.0, reqs - lane.req_base));
+    if (::getenv("NDP_RUNTIME_DEBUG")) {
+      std::fprintf(
+          stderr, "[obs] lane=%u win=%llu busy=%llu reqs=%llu ewma=%f\n",
+          lane.index, (unsigned long long)window_cycles,
+          (unsigned long long)busy_cycles, (unsigned long long)requests,
+          controllers_[lane.channel]->ewma_busy_fraction());
     }
-    l.window_start_ps = now;
-    l.busy_base = busy;
-    l.req_base = reqs;
-    k();
-  });
+    controllers_[lane.channel]->Observe(window_cycles,
+                                        std::min(busy_cycles, window_cycles),
+                                        requests);
+  }
+  lane.window_start_ps = now;
+  lane.busy_base = busy;
+  lane.req_base = reqs;
 }
 
 // -- Completion ---------------------------------------------------------------
@@ -1260,7 +1170,7 @@ void NdpRuntime::UpdateHeavyHitters() {
   // A fresh heavy hitter is a steal opportunity right now: wake idle
   // siblings instead of leaving them parked until their next natural poke.
   if (flagged_new) {
-    for (auto& lane : lanes_) Poke(*lane);
+    for (auto& lane : lanes_) MaybeDispatch(*lane);
   }
 }
 
@@ -1452,10 +1362,7 @@ void NdpRuntime::HandleLaneFailure(Lane& lane, const Status& status) {
   lane.state = Lane::State::kDead;
   // Hand the rank back to the host controller so CPU traffic to it drains
   // (the failed device is idle after the driver's abort path).
-  uint32_t dead = lane.index;
-  array_->PostToDevice(lane.device, [this, dead] {
-    lanes_[dead]->driver->ReleaseOwnership([](sim::Tick) {});
-  });
+  lane.driver->ReleaseOwnership([](sim::Tick) {});
 
   // Collect the work the lane can no longer do. The failed lease's rows were
   // never counted, so re-running them elsewhere cannot double-count.
@@ -1521,7 +1428,7 @@ void NdpRuntime::HandleLaneFailure(Lane& lane, const Status& status) {
 // -- Waiting / results --------------------------------------------------------
 
 Status NdpRuntime::Drain() {
-  if (!array_->RunUntilTrue([this] { return active_jobs_ == 0; })) {
+  if (!eq_.RunUntilTrue([this] { return active_jobs_ == 0; })) {
     return Status::Internal("runtime drain stalled: jobs pending, queue dry");
   }
   return Status::OK();
@@ -1531,7 +1438,7 @@ Status NdpRuntime::WaitFor(JobId id) {
   if (jobs_.find(id) == jobs_.end()) {
     return Status::NotFound("runtime: unknown job id");
   }
-  if (!array_->RunUntilTrue(
+  if (!eq_.RunUntilTrue(
           [this, id] { return results_.find(id) != results_.end(); })) {
     return Status::Internal("runtime wait stalled: job pending, queue dry");
   }

@@ -307,7 +307,8 @@ class NdpRuntime {
   /// anyone; Submit uses it to place a whole multi-part job before any poke.
   void InsertChunk(Lane& lane, std::unique_ptr<Chunk> chunk);
   void EnqueueChunk(Lane& lane, std::unique_ptr<Chunk> chunk);
-  void Poke(Lane& lane);
+  /// Wakes `lane` if it is idle: refreshes its utilization window when one
+  /// has elapsed, then dispatches. A no-op for a busy or dead lane.
   void MaybeDispatch(Lane& lane);
   /// MaybeDispatch's tail, after any utilization refresh: admission control
   /// and lease start.
@@ -317,17 +318,12 @@ class NdpRuntime {
   void OnLeaseDone(Lane& lane, const Status& status, uint64_t lease_matches);
   void OnOwnershipReleased(Lane& lane);
   void OnWindowEnd(Lane& lane);
+  /// Opens the lane's host window: records the time and its channel's
+  /// cumulative (busy_cycles, requests) counters as the window base.
   void BeginWindow(Lane& lane);
-  /// Samples the lane's channel counters *on the channel's partition* (a
-  /// port round-trip in partitioned mode; synchronous in single-wheel mode)
-  /// and hands the cumulative (busy_cycles, requests) to `k` back on the
-  /// host partition. The §3.3 estimator thus never reads another wheel's
-  /// state mid-epoch.
-  void SampleChannel(Lane& lane, std::function<void(double, double)> k);
-  /// Feeds the elapsed host window to the lane's LeaseController (through
-  /// SampleChannel), then runs `k`. Skips the observation (still running
-  /// `k`) when a sample for this lane is already in flight.
-  void ObserveWindowThen(Lane& lane, std::function<void()> k);
+  /// Feeds the window elapsed since the base to the lane's LeaseController,
+  /// then re-bases the window at now.
+  void ObserveWindow(Lane& lane);
   void RetireChunk(Lane& lane);
   /// Accounts a chunk that will never run again: merges its completed-prefix
   /// bitmap words and completes the job when this was the last live chunk.

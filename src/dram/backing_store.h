@@ -3,15 +3,13 @@
 // store says *what bytes* it carried. Sparse 4 KB pages so a simulated 2 GB /
 // 1 TB address space costs only what is actually touched.
 //
-// The page table is a lock-free two-level radix tree of atomic pointers so
-// that partitions of a PartitionSet (per-channel timing wheels on separate
-// threads) can touch disjoint rank regions concurrently: first-touch page
-// installation races resolve by compare-and-swap (the loser frees its page),
-// and every published page is fully zeroed before the release store, so
-// contents are deterministic no matter which thread installs it. Concurrent
-// accesses to the *same byte range* remain the caller's responsibility —
-// rank ownership partitions the address space across devices, and host-side
-// copies only ever target freshly allocated regions.
+// The page table is a lock-free two-level radix tree of atomic pointers, so
+// threads may touch disjoint regions of one store concurrently: first-touch
+// page installation races resolve by compare-and-swap (the loser frees its
+// page), and every published page is fully zeroed before the release store,
+// so contents are deterministic no matter which thread installs it. The
+// simulator itself drives each store from one thread; concurrent accesses
+// to the *same byte range* would remain the caller's responsibility.
 #pragma once
 
 #include <algorithm>
@@ -119,7 +117,7 @@ class BackingStore {
                                         std::memory_order_acquire)) {
         leaf = fresh;
       } else {
-        delete fresh;  // another partition installed it first
+        delete fresh;  // another thread installed it first
       }
     }
     std::atomic<uint8_t*>& pslot = leaf->pages[page & (kLeafSlots - 1)];

@@ -4,19 +4,12 @@ namespace ndp::dram {
 
 DramSystem::DramSystem(sim::EventQueue* eq, DramTiming timing,
                        DramOrganization org, InterleaveScheme scheme,
-                       ControllerConfig ctrl_config, const StatsScope& stats,
-                       sim::PartitionSet* partitions)
+                       ControllerConfig ctrl_config, const StatsScope& stats)
     : eq_(eq),
-      partitions_(partitions),
       timing_(std::move(timing)),
       org_(org),
       mapper_(org, scheme),
       backing_(org.TotalBytes()) {
-  if (partitions_ != nullptr) {
-    // One partition per channel (extra partitions — e.g. a host partition —
-    // may follow the channels).
-    NDP_CHECK(partitions_->num_partitions() >= org.channels);
-  }
   channels_.reserve(org.channels);
   controllers_.reserve(org.channels);
   for (uint32_t c = 0; c < org.channels; ++c) {
@@ -29,7 +22,7 @@ DramSystem::DramSystem(sim::EventQueue* eq, DramTiming timing,
         ctrl_config.refresh_enabled);
 #endif
     controllers_.push_back(std::make_unique<MemoryController>(
-        event_queue(c), channels_.back().get(), &mapper_, ctrl_config,
+        eq_, channels_.back().get(), &mapper_, ctrl_config,
         stats.Sub("ctrl" + std::to_string(c))));
     // Per-rank ECC scrub counters (fault-injection read path, src/fault).
     StatsScope ch_scope = stats.Sub("ch" + std::to_string(c));

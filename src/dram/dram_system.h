@@ -10,7 +10,6 @@
 #include "dram/backing_store.h"
 #include "dram/controller.h"
 #include "sim/event_queue.h"
-#include "sim/partition.h"
 #include "util/status.h"
 
 namespace ndp::dram {
@@ -19,14 +18,10 @@ namespace ndp::dram {
 class DramSystem {
  public:
   /// `stats` (optional) mounts per-controller counters at
-  /// "<prefix>.ctrl<i>.*" in the given registry. `partitions` (optional)
-  /// puts channel c's controller (and everything clocked by it) on partition
-  /// c's timing wheel instead of `eq` — the parallel-in-time mode; `eq`
-  /// remains the host-side queue.
+  /// "<prefix>.ctrl<i>.*" in the given registry.
   DramSystem(sim::EventQueue* eq, DramTiming timing, DramOrganization org,
              InterleaveScheme scheme, ControllerConfig ctrl_config,
-             const StatsScope& stats = {},
-             sim::PartitionSet* partitions = nullptr);
+             const StatsScope& stats = {});
   NDP_DISALLOW_COPY_AND_ASSIGN(DramSystem);
 
   /// Routes a burst request through the owning channel's controller.
@@ -58,16 +53,9 @@ class DramSystem {
 #endif
 
   sim::EventQueue* event_queue() { return eq_; }
-  /// The wheel channel `c`'s controller and devices schedule on: partition
-  /// c's queue in partitioned mode, the shared host queue otherwise.
-  sim::EventQueue* event_queue(uint32_t c) {
-    return partitions_ != nullptr ? &partitions_->queue(c) : eq_;
-  }
-  sim::PartitionSet* partitions() { return partitions_; }
 
  private:
   sim::EventQueue* eq_;
-  sim::PartitionSet* partitions_;
   DramTiming timing_;
   DramOrganization org_;
   AddressMapper mapper_;

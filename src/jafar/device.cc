@@ -24,7 +24,7 @@ Device::Device(dram::DramSystem* dram, uint32_t channel_index,
       channel_index_(channel_index),
       rank_index_(rank_index),
       config_(config),
-      eq_(dram->event_queue(channel_index)) {
+      eq_(dram->event_queue()) {
   NDP_CHECK(channel_index < dram->num_channels());
   NDP_CHECK(rank_index < dram->channel(channel_index).num_ranks());
   NDP_CHECK(config_.output_buffer_bits % kBitsPerBurst == 0);

@@ -108,8 +108,7 @@ class Device {
   uint32_t channel_index() const { return channel_index_; }
   uint32_t rank_index() const { return rank_index_; }
   dram::DramSystem* dram() { return dram_; }
-  /// The wheel this unit schedules on: its channel's partition queue in
-  /// partitioned mode, the system's shared queue otherwise.
+  /// The memory system's event queue, which this unit schedules on.
   sim::EventQueue* event_queue() const { return eq_; }
 
   /// Matches produced by the most recent completed select/row-store job.

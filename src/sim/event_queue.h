@@ -158,20 +158,8 @@ class EventQueue {
   bool empty() const { return num_pending_ == 0; }
   size_t size() const { return num_pending_; }
 
-  /// Lifetime count of events executed (Step() completions) — the per-
-  /// partition `sim.part<k>.events` counter in partitioned runs.
+  /// Lifetime count of events executed (Step() completions).
   uint64_t executed_events() const { return executed_events_; }
-  /// Stable cell address for stats-registry registration.
-  const uint64_t* executed_events_cell() const { return &executed_events_; }
-  /// Time of the most recently executed event (0 before the first event);
-  /// the epoch scheduler derives per-partition barrier stall from it.
-  Tick last_executed_ps() const { return last_executed_ps_; }
-
-  /// Partition identity when this queue is one wheel of a PartitionSet
-  /// (kNoPartition for a standalone queue, e.g. the single-threaded oracle).
-  static constexpr uint32_t kNoPartition = ~uint32_t{0};
-  uint32_t partition_id() const { return partition_id_; }
-  void set_partition_id(uint32_t id) { partition_id_ = id; }
 
   /// Time of the earliest pending event; queue must be non-empty. (May migrate
   /// events between wheel levels to locate the head, hence non-const.)
@@ -188,7 +176,6 @@ class EventQueue {
     NDP_CHECK(node->when_ >= now_);
     now_ = node->when_;
     ++executed_events_;
-    last_executed_ps_ = now_;
     node->Fire();
     return true;
   }
@@ -428,8 +415,6 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   size_t num_pending_ = 0;
   uint64_t executed_events_ = 0;
-  Tick last_executed_ps_ = 0;
-  uint32_t partition_id_ = kNoPartition;
 
   EventNode* solo_ = nullptr;  ///< sole pending event (bypasses the wheel)
 

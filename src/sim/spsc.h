@@ -1,18 +1,14 @@
-// Single-producer / single-consumer message ring for cross-partition ports.
-//
-// Each (src, dst) partition edge owns one SpscQueue. During an epoch the only
-// producer is the worker thread executing the src partition; the only consumer
-// is the barrier coordinator, which drains the edge after every worker has
-// reached the epoch barrier. Pushes therefore never race pops — the atomics
-// buy wait-free publication within an epoch plus well-defined visibility
-// across the barrier's mutex handshake — and FIFO order per edge is exact,
-// which is what makes barrier delivery deterministic.
+// Single-producer / single-consumer message ring, used for the serving
+// ingress's per-core request rings. FIFO order is exact.
 //
 // A bounded power-of-two ring carries the common case without allocation;
-// bursts beyond the ring capacity spill into a producer-side overflow deque.
+// its head/tail atomics publish entries wait-free from producer to consumer.
+// Bursts beyond the ring capacity spill into a producer-side overflow deque.
 // Once a message has spilled, later pushes spill too (preserving FIFO) until
 // the consumer has drained both, so order never interleaves between the two
-// stores.
+// stores. The spill path is not synchronised: while it is in use, producer
+// and consumer must not run concurrently. The serving ingress drives both
+// ends from the one simulation thread.
 #pragma once
 
 #include <atomic>
@@ -75,7 +71,7 @@ class SpscQueue {
     if (!spill_.empty()) {
       *out = std::move(spill_.front());
       spill_.pop_front();
-      if (spill_.empty()) spilling_ = false;  // barrier-quiescent producer
+      if (spill_.empty()) spilling_ = false;  // producer quiescent here
       return true;
     }
     return false;
@@ -93,7 +89,7 @@ class SpscQueue {
   std::atomic<size_t> head_{0};  ///< producer cursor
   std::atomic<size_t> tail_{0};  ///< consumer cursor
   bool spilling_ = false;        ///< producer-owned; consumer resets at drain
-  std::deque<T> spill_;          ///< overflow, touched only across the barrier
+  std::deque<T> spill_;          ///< overflow; not synchronised
 };
 
 }  // namespace ndp::sim

@@ -310,7 +310,7 @@ TEST(ServingIngressTest, GovernorEscalatesShedsBatchAndRoutesToCpu) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(ingress.Enqueue(0, Req(0, 0, 500'000), record));
   }
-  ASSERT_TRUE(array.RunUntilTrue(
+  ASSERT_TRUE(array.eq().RunUntilTrue(
       [&ingress] { return ingress.state() == OverloadState::kBrownout; }));
   EXPECT_GE(ingress.occupancy_ewma(), cfg.brownout_threshold);
   EXPECT_GT(array.stats().ReadValue("array.ingress.governor_transitions"),

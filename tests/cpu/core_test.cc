@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cpu/cache.h"
@@ -438,14 +439,22 @@ CoreConfig TinyRobCore() {
   return cfg;
 }
 
-class AluRunEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<const char*, CoreConfig (*)()>> {};
+struct CorePreset {
+  const char* name;
+  CoreConfig (*make)();
+};
+
+// Prints the preset by name so the test's listed name is the same in every
+// process (the default printer shows the pointers' addresses).
+void PrintTo(const CorePreset& p, std::ostream* os) { *os << p.name; }
+
+class AluRunEquivalenceTest : public ::testing::TestWithParam<CorePreset> {};
 
 TEST_P(AluRunEquivalenceTest, BulkDispatchMatchesPerUopDispatch) {
   MixedWorkload w(/*seed=*/7);
   for (bool blocking : {false, true}) {
     SCOPED_TRACE(blocking ? "block on mispredict" : "refill bubble");
-    CoreConfig cfg = GetParam().second();
+    CoreConfig cfg = GetParam().make();
     cfg.block_on_mispredict_resolution = blocking;
     Machine bulk(cfg), per_uop(cfg);
     auto expect_same = [](const Machine::Result& a, const Machine::Result& b) {
@@ -472,10 +481,9 @@ TEST_P(AluRunEquivalenceTest, BulkDispatchMatchesPerUopDispatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Platforms, AluRunEquivalenceTest,
-    ::testing::Values(std::make_pair("gem5", &Gem5LikeCore),
-                      std::make_pair("xeon", &XeonLikeCore),
-                      std::make_pair("rob4", &TinyRobCore)),
-    [](const auto& p) { return std::string(p.param.first); });
+    ::testing::Values(CorePreset{"gem5", &Gem5LikeCore}, CorePreset{"xeon", &XeonLikeCore},
+                      CorePreset{"rob4", &TinyRobCore}),
+    [](const auto& p) { return std::string(p.param.name); });
 
 TEST_F(CoreTest, ReplayStreamHandsOverComputeGapsAsRuns) {
   std::vector<TraceEvent> events = {{TraceEvent::Kind::kCompute, 5},

@@ -1,9 +1,10 @@
 // Determinism regression tests: the entire simulation stack must be a pure
 // function of its inputs. Two fresh systems running the Figure 3 pipeline on
 // the same column must agree bit for bit — durations, match counts, every
-// component counter — and a ParallelSweep must produce identical results at
-// any worker-thread count (the property that makes the parallel benches'
-// output byte-identical across NDP_BENCH_THREADS settings).
+// component counter — as must two faulted multi-device runtime runs, and a
+// ParallelSweep must produce identical results at any worker-thread count
+// (the property that makes the parallel benches' output byte-identical
+// across NDP_BENCH_THREADS settings).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "bench/bench_util.h"
 #include "bench/parallel_sweep.h"
 #include "core/api.h"
+#include "core/runtime.h"
+#include "fault/injector.h"
 #include "gtest/gtest.h"
 
 namespace ndp {
@@ -114,6 +117,51 @@ TEST(DeterminismTest, DifferentFaultSeedsStillAgreeOnResults) {
   // Different fault sequences, but recovery makes the answer fault-invariant.
   EXPECT_EQ(a.matches, oracle);
   EXPECT_EQ(b.matches, oracle);
+}
+
+/// Multi-device runtime under faults: one device (on channel 1 of four)
+/// draws hangs, stalls, corruptions and ECC flips from a seeded injector,
+/// with the driver's recovery (watchdog, retries, writeback checksums) and
+/// the runtime's lane handling in the loop. Returns the full registry dump
+/// plus the final simulated time.
+std::string RunFaultedRuntime() {
+  core::DimmArray array(dram::DramTiming::DDR3_1600(), /*channels=*/4,
+                        /*ranks_per_channel=*/1,
+                        jafar::DeviceConfig::Derive(
+                            dram::DramTiming::DDR3_1600(),
+                            accel::DatapathResources{})
+                            .ValueOrDie());
+  fault::FaultPlan plan;
+  plan.seed = 1001;
+  plan.hang_per_job = 0.1;
+  plan.stall_per_burst = 0.002;
+  plan.corrupt_per_flush = 0.1;
+  plan.ecc_ce_per_burst = 0.01;
+  StatsScope fault_scope(array.mutable_stats(), "fault");
+  fault::FaultInjector injector(plan, fault_scope);
+  array.device(1).set_fault_injector(&injector);
+
+  core::NdpRuntime runtime(&array, core::RuntimeConfig{});
+  db::Column col = bench::UniformColumn(48 * 1024);
+  core::PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  auto id = runtime.SubmitSelect(placed, 0, 499999).ValueOrDie();
+  EXPECT_TRUE(runtime.WaitFor(id).ok());
+  uint64_t oracle = 0;
+  for (size_t i = 0; i < col.size(); ++i) oracle += col[i] <= 499999;
+  EXPECT_EQ(runtime.result(id)->matches, oracle);
+  // The campaign must actually fire, or the comparison pins nothing.
+  EXPECT_GT(array.stats().ReadValue("fault.hangs_injected") +
+                array.stats().ReadValue("fault.stalls_injected") +
+                array.stats().ReadValue("fault.corruptions_injected"),
+            0.0);
+  return array.stats().Snapshot().ToText() + "\nnow=" +
+         std::to_string(array.eq().Now());
+}
+
+TEST(DeterminismTest, FaultedRuntimeIsByteIdenticalAcrossRuns) {
+  std::string first = RunFaultedRuntime();
+  std::string second = RunFaultedRuntime();
+  EXPECT_EQ(first, second);
 }
 
 #endif  // NDP_FAULT_INJECT

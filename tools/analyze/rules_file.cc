@@ -256,29 +256,6 @@ void CheckRuntimeBypass(SourceFile& f, std::vector<Finding>* out) {
   }
 }
 
-// -- cross-partition-schedule -------------------------------------------------
-
-void CheckCrossPartitionSchedule(SourceFile& f, std::vector<Finding>* out) {
-  // Outside the kernel, an event scheduled straight onto a PartitionSet wheel
-  // selected by index lands on another partition with no lookahead hop; the
-  // legal channels are PartitionSet::Send and the DimmArray ports. The kernel
-  // itself (src/sim/) delivers drained messages this way by construction;
-  // benches and tests schedule at barrier time, where direct access is legal.
-  if (f.top != "src" || f.rel.rfind("src/sim/", 0) == 0) return;
-  static const std::regex kDirect(
-      R"re(\bqueue\s*\([^()]*\)\s*(?:\.|->)\s*Schedule(?:At|After)?\s*\()re");
-  for (size_t i = 0; i < f.lex.code.size(); ++i) {
-    if (std::regex_search(f.lex.code[i], kDirect)) {
-      Emit(f, i + 1, "cross-partition-schedule",
-           "direct schedule onto a partition wheel selected by index; route "
-           "through PartitionSet::Send / PostToDevice / PostToHost so the "
-           "event pays the lookahead hop, or waive barrier-time setup with a "
-           "reason",
-           out);
-    }
-  }
-}
-
 // -- generation-dispatch ------------------------------------------------------
 
 void CheckGenerationDispatch(SourceFile& f, std::vector<Finding>* out) {
@@ -317,7 +294,6 @@ void RunFileRules(SourceFile& f, std::vector<Finding>* out) {
   CheckStatusIgnored(f, out);
   CheckWatchdogArm(f, out);
   CheckRuntimeBypass(f, out);
-  CheckCrossPartitionSchedule(f, out);
   CheckGenerationDispatch(f, out);
 }
 

@@ -174,9 +174,9 @@ SkewPoint RunSkewPoint(const db::Column& col, double theta, bool steal) {
   core::RuntimeConfig cfg;
   cfg.steal_enabled = steal;
   // Short lease windows so the probe spans many leases per lane: the
-  // heavy-hitter detector only trusts a lane's rate after
-  // `join_hh_min_leases` completed leases, so the hot lane must finish
-  // several leases while the imbalance is still live (DESIGN.md §12).
+  // heavy-hitter detector only trusts a lane's rate after a few completed
+  // leases, so the hot lane must finish several leases while the imbalance
+  // is still live (DESIGN.md §12).
   cfg.lease_init_bus_cycles = 4'000;
   cfg.lease_max_bus_cycles = 8'000;
   core::NdpRuntime runtime(&array, cfg);
@@ -190,10 +190,11 @@ SkewPoint RunSkewPoint(const db::Column& col, double theta, bool steal) {
 
   // Bloom image over a ~4k-key build set (multiples of 256 in the value
   // domain): sparse enough that the filter stays discriminating.
-  const uint64_t filter_words = cfg.join_filter_kb * 1024 / 8;
+  const uint64_t filter_words = core::kBloomFilterKb * 1024 / 8;
+  const uint32_t hashes = array.device_config().probe_hashes;
   std::vector<uint64_t> image(filter_words, 0);
   for (int64_t key = 0; key < 1'000'000; key += 256) {
-    for (uint32_t h = 0; h < cfg.join_hashes; ++h) {
+    for (uint32_t h = 0; h < hashes; ++h) {
       uint64_t bit =
           jafar::BloomBitIndex(static_cast<uint64_t>(key), h, filter_words);
       image[bit / 64] |= uint64_t{1} << (bit % 64);
@@ -216,7 +217,7 @@ SkewPoint RunSkewPoint(const db::Column& col, double theta, bool steal) {
     uint64_t expected_matches = 0;
     for (size_t i = 0; i < col.size(); ++i) {
       bool candidate = true;
-      for (uint32_t h = 0; h < cfg.join_hashes && candidate; ++h) {
+      for (uint32_t h = 0; h < hashes && candidate; ++h) {
         uint64_t bit = jafar::BloomBitIndex(static_cast<uint64_t>(col[i]), h,
                                             filter_words);
         candidate = (image[bit / 64] >> (bit % 64)) & 1;
@@ -242,12 +243,11 @@ int main() {
       "Ablation — join & group-by pushdown under skew (TPC-H scale " +
       std::to_string(scale) + ", " + std::to_string(rows) + " probe rows)");
 
-  core::RuntimeConfig defaults;
   bench::Reporter report("abl_join");
   report.Config("scale", scale);
   report.Config("rows", static_cast<double>(rows));
-  report.Config("filter_kb", static_cast<double>(defaults.join_filter_kb));
-  report.Config("hashes", static_cast<double>(defaults.join_hashes));
+  report.Config("filter_kb", static_cast<double>(core::kBloomFilterKb));
+  report.Config("hashes", static_cast<double>(DeviceConfig().probe_hashes));
 
   // ---- Part 1: Q3/Q18 across generator skew --------------------------------
   const std::vector<double> thetas = {0.0, 0.5, 1.0, 1.5, 2.0};

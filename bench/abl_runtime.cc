@@ -95,7 +95,7 @@ PointResult RunPoint(const db::Column& col, double load, double qos_pct,
   for (int j = 0; j < kJobs; ++j) {
     ids.push_back(runtime
                       .SubmitSelect(placed, kLo[j], kHi[j],
-                                    core::JobPriority::kBatch)
+                                    {.priority = core::JobPriority::kBatch})
                       .ValueOrDie());
   }
   NDP_CHECK(runtime.Drain().ok());

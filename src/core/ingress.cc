@@ -365,7 +365,7 @@ void ServingIngress::SubmitNdpBurst(const std::vector<uint32_t>& slot_ids) {
 
 void ServingIngress::SubmitNdpOne(uint32_t slot) {
   Slot& s = pool_[slot];
-  Result<NdpRuntime::JobId> id = runtime_->SubmitSelectWith(
+  Result<NdpRuntime::JobId> id = runtime_->SubmitSelect(
       *tables_[s.req.table].placed, s.req.lo, s.req.hi, OptionsFor(slot));
   NDP_CHECK_MSG(id.ok(), id.status().message().c_str());
 }

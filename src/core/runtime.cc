@@ -1,11 +1,9 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_set>
 
 #include "core/profiling.h"
@@ -19,6 +17,40 @@ namespace {
 
 constexpr uint64_t kRowsPerPage = 4096 / 8;  ///< int64 rows per 4 KB page
 
+// -- Lease controller tuning (see LeaseController in runtime.h) ---------------
+constexpr double kLeaseGrow = 2.0;    ///< multiplicative increase when idle
+constexpr double kLeaseShrink = 0.5;  ///< multiplicative decrease over budget
+/// EWMA smoothing for the per-window busy fraction, the idle estimate and
+/// each lane's progress rate.
+constexpr double kEwmaAlpha = 0.25;
+/// Host utilization below which the channel counts as idle (grow region).
+constexpr double kIdleBusyThreshold = 0.05;
+/// When idle, grow at least to kIdleFillFactor x the EWMA of the §3.3
+/// mean-idle-period estimate — the "size leases from the estimator" rule.
+constexpr double kIdleFillFactor = 32.0;
+
+// -- Admission ----------------------------------------------------------------
+/// Batch-priority dispatches are deferred this long while the channel is
+/// over budget...
+constexpr uint64_t kAdmissionDeferBusCycles = 4'000;
+/// ...but at most this many consecutive times (starvation freedom).
+constexpr uint32_t kAdmissionMaxDefers = 8;
+
+// -- Work stealing ------------------------------------------------------------
+/// Minimum profitable steal, in 4 KB pages.
+constexpr uint64_t kStealMinPages = 4;
+/// Fixed overhead of a host-mediated steal copy, in bus cycles (on top of
+/// 1 x tCCD per 64 B burst: the read and write streams pipeline through the
+/// host buffer on different channels).
+constexpr uint64_t kStealCopyOverheadBusCycles = 2'000;
+/// A lane whose drain ETA exceeds this x the mean over busy lanes is flagged
+/// as a heavy hitter; newly flagged lanes wake idle siblings so stealing
+/// starts immediately rather than at the next natural wake-up.
+constexpr double kHeavyHitterThreshold = 1.5;
+/// Trust a lane's progress-rate EWMA only after this many completed leases;
+/// untrusted lanes borrow the mean rate of trusted siblings.
+constexpr uint64_t kRateTrustLeases = 2;
+
 uint64_t RoundDownPages(uint64_t rows) {
   return rows / kRowsPerPage * kRowsPerPage;
 }
@@ -30,20 +62,19 @@ bool KindHasBitmap(ndp::core::JobKind kind) {
          kind == ndp::core::JobKind::kProbe;
 }
 
-/// Strict full-string env parses (the fault_plan discipline: a typo must
-/// fail loudly, not silently configure a different experiment).
-Status OverlayEnvU64(const char* name, uint64_t* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  uint64_t v = std::strtoull(raw, &end, 10);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not an unsigned integer");
+/// Folds a partial aggregate into an accumulator: Sum and Count add, Min and
+/// Max keep the extreme. Serves both the aggregate and the group-by merge.
+int64_t FoldAgg(jafar::AggKind kind, int64_t acc, int64_t partial) {
+  switch (kind) {
+    case jafar::AggKind::kSum:
+    case jafar::AggKind::kCount:
+      return acc + partial;
+    case jafar::AggKind::kMin:
+      return std::min(acc, partial);
+    case jafar::AggKind::kMax:
+      return std::max(acc, partial);
   }
-  *field = v;
-  return Status::OK();
+  return acc;
 }
 
 /// An engine lease's outcome, read from the driver's status register: OK
@@ -59,118 +90,27 @@ Status EngineLeaseStatus(const jafar::Driver& driver,
   return dev_status.ok() ? Status::Internal(what) : dev_status;
 }
 
-Status OverlayEnvDouble(const char* name, double* field) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return Status::OK();
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(name) + "='" + raw +
-                                   "' is not a number");
-  }
-  *field = v;
-  return Status::OK();
-}
-
 }  // namespace
 
 // -- RuntimeConfig ------------------------------------------------------------
 
-Result<RuntimeConfig> RuntimeConfig::FromEnv() {
-  RuntimeConfig cfg;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_MIN", &cfg.lease_min_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_MAX", &cfg.lease_max_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_LEASE_INIT", &cfg.lease_init_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_GROW", &cfg.lease_grow));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_SHRINK", &cfg.lease_shrink));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_ALPHA", &cfg.ewma_alpha));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_IDLE_THRESHOLD",
-                                     &cfg.idle_busy_threshold));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_RUNTIME_IDLE_FILL", &cfg.idle_fill_factor));
-  NDP_RETURN_NOT_OK(OverlayEnvDouble("NDP_RUNTIME_QOS_SLOWDOWN_PCT",
-                                     &cfg.qos_max_cpu_slowdown_pct));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_QOS_MAX_STALL", &cfg.qos_max_stall_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_HOST_WINDOW_MIN",
-                                  &cfg.host_window_min_bus_cycles));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_DEFER_CYCLES", &cfg.admission_defer_bus_cycles));
-  uint64_t max_defers = cfg.admission_max_defers;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_MAX_DEFERS", &max_defers));
-  cfg.admission_max_defers = static_cast<uint32_t>(max_defers);
-  uint64_t steal = cfg.steal_enabled ? 1 : 0;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_STEAL", &steal));
-  cfg.steal_enabled = steal != 0;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_RUNTIME_STEAL_MIN_PAGES", &cfg.steal_min_pages));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_RUNTIME_STEAL_OVERHEAD",
-                                  &cfg.steal_copy_overhead_bus_cycles));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_HASHES", &cfg.join_hashes));
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_FILTER_KB", &cfg.join_filter_kb));
-  uint64_t eta_steal = cfg.join_eta_steal ? 1 : 0;
-  NDP_RETURN_NOT_OK(OverlayEnvU64("NDP_JOIN_ETA_STEAL", &eta_steal));
-  cfg.join_eta_steal = eta_steal != 0;
-  NDP_RETURN_NOT_OK(
-      OverlayEnvDouble("NDP_JOIN_HH_THRESHOLD", &cfg.join_hh_threshold));
-  NDP_RETURN_NOT_OK(
-      OverlayEnvU64("NDP_JOIN_HH_MIN_LEASES", &cfg.join_hh_min_leases));
-  NDP_ASSIGN_OR_RETURN(cfg.device_gen,
-                       jafar::DeviceGenerationFromEnv(cfg.device_gen));
-  NDP_RETURN_NOT_OK(cfg.Validate());
-  return cfg;
-}
-
 Status RuntimeConfig::Validate() const {
-  if (lease_min_bus_cycles == 0 ||
-      lease_min_bus_cycles > lease_init_bus_cycles ||
+  if (kLeaseMinBusCycles > lease_init_bus_cycles ||
       lease_init_bus_cycles > lease_max_bus_cycles) {
     return Status::InvalidArgument(
-        "runtime config: need 0 < lease_min <= lease_init <= lease_max");
-  }
-  if (!(lease_shrink > 0.0 && lease_shrink < 1.0 && lease_grow > 1.0)) {
-    return Status::InvalidArgument(
-        "runtime config: need 0 < shrink < 1 < grow");
-  }
-  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-    return Status::InvalidArgument("runtime config: alpha must be in (0, 1]");
+        "runtime config: need lease_min <= lease_init <= lease_max");
   }
   if (!(qos_max_cpu_slowdown_pct > 0.0 && qos_max_cpu_slowdown_pct <= 100.0)) {
     return Status::InvalidArgument(
         "runtime config: slowdown budget must be in (0, 100] percent");
   }
-  if (!(idle_busy_threshold >= 0.0 &&
-        idle_busy_threshold < qos_budget_fraction())) {
+  if (!(kIdleBusyThreshold < qos_budget_fraction())) {
     return Status::InvalidArgument(
         "runtime config: idle threshold must be below the busy budget");
   }
-  if (qos_max_stall_bus_cycles < lease_min_bus_cycles) {
+  if (qos_max_stall_bus_cycles < kLeaseMinBusCycles) {
     return Status::InvalidArgument(
         "runtime config: stall bound below the minimum lease");
-  }
-  if (idle_fill_factor < 0.0 || host_window_min_bus_cycles == 0) {
-    return Status::InvalidArgument(
-        "runtime config: bad idle_fill_factor / host_window_min");
-  }
-  if (join_hashes == 0 || join_hashes > 8) {
-    return Status::InvalidArgument(
-        "runtime config: join_hashes must be in [1, 8]");
-  }
-  if (join_filter_kb == 0 || (join_filter_kb & (join_filter_kb - 1)) != 0) {
-    return Status::InvalidArgument(
-        "runtime config: join_filter_kb must be a nonzero power of two");
-  }
-  if (!(join_hh_threshold >= 1.0)) {
-    return Status::InvalidArgument(
-        "runtime config: join_hh_threshold must be >= 1");
-  }
-  if (join_hh_min_leases == 0) {
-    return Status::InvalidArgument(
-        "runtime config: join_hh_min_leases must be >= 1");
   }
   return Status::OK();
 }
@@ -180,7 +120,7 @@ Status RuntimeConfig::Validate() const {
 LeaseController::LeaseController(const RuntimeConfig& cfg) : cfg_(cfg) {
   lease_ = static_cast<double>(
       std::min(cfg_.lease_init_bus_cycles, LeaseCap()));
-  lease_ = std::max(lease_, static_cast<double>(cfg_.lease_min_bus_cycles));
+  lease_ = std::max(lease_, static_cast<double>(kLeaseMinBusCycles));
 }
 
 uint64_t LeaseController::LeaseCap() const {
@@ -199,19 +139,17 @@ void LeaseController::Observe(uint64_t window_cycles, uint64_t busy_cycles,
     ewma_idle_ = idle;
     has_observation_ = true;
   } else {
-    ewma_busy_ = cfg_.ewma_alpha * u + (1.0 - cfg_.ewma_alpha) * ewma_busy_;
-    ewma_idle_ =
-        cfg_.ewma_alpha * idle + (1.0 - cfg_.ewma_alpha) * ewma_idle_;
+    ewma_busy_ = kEwmaAlpha * u + (1.0 - kEwmaAlpha) * ewma_busy_;
+    ewma_idle_ = kEwmaAlpha * idle + (1.0 - kEwmaAlpha) * ewma_idle_;
   }
   double cap = static_cast<double>(LeaseCap());
-  double floor = static_cast<double>(cfg_.lease_min_bus_cycles);
+  double floor = static_cast<double>(kLeaseMinBusCycles);
   if (ewma_busy_ > cfg_.qos_budget_fraction()) {
-    lease_ = std::max(floor, lease_ * cfg_.lease_shrink);
+    lease_ = std::max(floor, lease_ * kLeaseShrink);
     ++shrinks_;
-  } else if (ewma_busy_ < cfg_.idle_busy_threshold) {
+  } else if (ewma_busy_ < kIdleBusyThreshold) {
     lease_ = std::min(
-        cap, std::max(lease_ * cfg_.lease_grow,
-                      cfg_.idle_fill_factor * ewma_idle_));
+        cap, std::max(lease_ * kLeaseGrow, kIdleFillFactor * ewma_idle_));
     ++grows_;
   }
   lease_ = std::clamp(lease_, floor, cap);
@@ -222,7 +160,7 @@ uint64_t LeaseController::NextLeaseBusCycles() const {
 }
 
 bool LeaseController::ChannelIdle() const {
-  return has_observation_ && ewma_busy_ < cfg_.idle_busy_threshold;
+  return has_observation_ && ewma_busy_ < kIdleBusyThreshold;
 }
 
 bool LeaseController::OverBudget() const {
@@ -230,11 +168,11 @@ bool LeaseController::OverBudget() const {
 }
 
 uint64_t LeaseController::HostWindowBusCycles(uint64_t lease_bus_cycles) const {
-  if (ChannelIdle()) return cfg_.host_window_min_bus_cycles;
+  if (ChannelIdle()) return kHostWindowMinBusCycles;
   double beta = cfg_.qos_budget_fraction();
-  if (beta >= 1.0) return cfg_.host_window_min_bus_cycles;
+  if (beta >= 1.0) return kHostWindowMinBusCycles;
   double w = static_cast<double>(lease_bus_cycles) * (1.0 - beta) / beta;
-  return std::max(cfg_.host_window_min_bus_cycles,
+  return std::max(kHostWindowMinBusCycles,
                   static_cast<uint64_t>(std::ceil(w)));
 }
 
@@ -244,7 +182,6 @@ struct NdpRuntime::Job {
   JobId id = 0;
   JobKind kind = JobKind::kSelect;
   JobPriority priority = JobPriority::kBatch;
-  jafar::CompareOp op = jafar::CompareOp::kBetween;
   int64_t lo = 0, hi = 0;
   jafar::AggKind agg = jafar::AggKind::kSum;
   uint64_t total_rows = 0;
@@ -258,7 +195,6 @@ struct NdpRuntime::Job {
   /// per-device copy (EnsureProbeFilter).
   std::vector<uint64_t> filter_image;
   uint64_t filter_words = 0;  ///< filter_image.size(), a power of two
-  uint32_t hash_count = 2;
   /// Devices that already hold the image, and where. Lazy: a device pays for
   /// the image only if a chunk of this job actually lands on it.
   std::map<uint32_t, uint64_t> filter_base_by_device;
@@ -331,7 +267,10 @@ struct NdpRuntime::Lane {
 // -- NdpRuntime ---------------------------------------------------------------
 
 NdpRuntime::NdpRuntime(DimmArray* array, RuntimeConfig config)
-    : array_(array), config_(config), eq_(array->eq()) {
+    : array_(array),
+      config_(config),
+      eq_(array->eq()),
+      debug_(std::getenv("NDP_RUNTIME_DEBUG") != nullptr) {
   NDP_CHECK(config_.Validate().ok());
   uint32_t channels = array_->dram().num_channels();
   for (uint32_t c = 0; c < channels; ++c) {
@@ -423,20 +362,9 @@ double NdpRuntime::ReadChannelRequests(uint32_t channel) const {
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitSelect(const PlacedColumn& col,
                                                    int64_t lo, int64_t hi,
-                                                   JobPriority priority,
-                                                   JobCallback on_done) {
-  SubmitOptions opts;
-  opts.priority = priority;
-  opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kSelect, jafar::CompareOp::kBetween, lo, hi,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true);
-}
-
-Result<NdpRuntime::JobId> NdpRuntime::SubmitSelectWith(const PlacedColumn& col,
-                                                       int64_t lo, int64_t hi,
-                                                       SubmitOptions opts) {
-  return Submit(col, JobKind::kSelect, jafar::CompareOp::kBetween, lo, hi,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true);
+                                                   SubmitOptions opts) {
+  return Submit(col, JobKind::kSelect, lo, hi, jafar::AggKind::kSum,
+                std::move(opts), /*poke_lanes=*/true);
 }
 
 Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
@@ -446,8 +374,8 @@ Result<std::vector<NdpRuntime::JobId>> NdpRuntime::SubmitSelectBurst(
   for (BurstSelect& b : burst) {
     NDP_CHECK(b.col != nullptr);
     NDP_ASSIGN_OR_RETURN(
-        JobId id, Submit(*b.col, JobKind::kSelect, jafar::CompareOp::kBetween,
-                         b.lo, b.hi, jafar::AggKind::kSum, std::move(b.opts),
+        JobId id, Submit(*b.col, JobKind::kSelect, b.lo, b.hi,
+                         jafar::AggKind::kSum, std::move(b.opts),
                          /*poke_lanes=*/false));
     ids.push_back(id);
   }
@@ -464,8 +392,8 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitAggregate(const PlacedColumn& col,
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kAggregate, jafar::CompareOp::kBetween, 0, 0,
-                kind, std::move(opts), /*poke_lanes=*/true);
+  return Submit(col, JobKind::kAggregate, 0, 0, kind, std::move(opts),
+                /*poke_lanes=*/true);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
@@ -476,19 +404,12 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitProbe(
     return Status::InvalidArgument(
         "runtime: probe filter image must be a nonzero power-of-two size");
   }
-  if (config_.join_hashes != array_->device_config().probe_hashes) {
-    // The device's probe timing is the accel schedule of exactly
-    // probe_hashes lanes; silently probing with a different count would
-    // decouple the functional filter from the modeled datapath.
-    return Status::InvalidArgument(
-        "runtime: join_hashes does not match the device's probe_hashes");
-  }
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(col, JobKind::kProbe, jafar::CompareOp::kBetween, 0, 0,
-                jafar::AggKind::kSum, std::move(opts), /*poke_lanes=*/true,
-                /*vals=*/nullptr, std::move(filter_image));
+  return Submit(col, JobKind::kProbe, 0, 0, jafar::AggKind::kSum,
+                std::move(opts), /*poke_lanes=*/true, /*vals=*/nullptr,
+                std::move(filter_image));
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::SubmitGroupBy(const PlacedColumn& keys,
@@ -511,14 +432,13 @@ Result<NdpRuntime::JobId> NdpRuntime::SubmitGroupBy(const PlacedColumn& keys,
   SubmitOptions opts;
   opts.priority = priority;
   opts.on_done = std::move(on_done);
-  return Submit(keys, JobKind::kGroupBy, jafar::CompareOp::kBetween, 0, 0,
-                kind, std::move(opts), /*poke_lanes=*/true, &vals);
+  return Submit(keys, JobKind::kGroupBy, 0, 0, kind, std::move(opts),
+                /*poke_lanes=*/true, &vals);
 }
 
 Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
-                                             JobKind kind, jafar::CompareOp op,
-                                             int64_t lo, int64_t hi,
-                                             jafar::AggKind agg,
+                                             JobKind kind, int64_t lo,
+                                             int64_t hi, jafar::AggKind agg,
                                              SubmitOptions opts,
                                              bool poke_lanes,
                                              const PlacedColumn* vals,
@@ -533,7 +453,6 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   job->id = next_job_id_++;
   job->kind = kind;
   job->priority = opts.priority;
-  job->op = op;
   job->lo = lo;
   job->hi = hi;
   job->agg = agg;
@@ -542,7 +461,6 @@ Result<NdpRuntime::JobId> NdpRuntime::Submit(const PlacedColumn& col,
   if (kind == JobKind::kProbe) {
     job->filter_words = filter_image.size();
     job->filter_image = std::move(filter_image);
-    job->hash_count = static_cast<uint32_t>(config_.join_hashes);
   }
   job->submitted_ps = eq_.Now();
   job->deadline_ps = opts.deadline_ps;
@@ -638,7 +556,7 @@ void NdpRuntime::MaybeDispatch(Lane& lane) {
   // of host-only traffic). Freshly observed windows (OnWindowEnd) are not
   // re-sampled: the elapsed time since is below the minimum window.
   if (eq_.Now() - lane.window_start_ps >=
-      BusCyclesToPs(config_.host_window_min_bus_cycles)) {
+      BusCyclesToPs(kHostWindowMinBusCycles)) {
     ObserveWindow(lane);
   }
   DispatchNow(lane);
@@ -667,14 +585,14 @@ void NdpRuntime::DispatchNow(Lane& lane) {
   LeaseController& lc = *controllers_[lane.channel];
   const Chunk& front = *lane.queue.front();
   if (front.priority == JobPriority::kBatch && lc.OverBudget() &&
-      lane.defers < config_.admission_max_defers) {
+      lane.defers < kAdmissionMaxDefers) {
     // Idle-aware admission: hold background work while the channel runs
     // hotter than the QoS budget, but never indefinitely (defer cap).
     ++lane.defers;
     ++counters_.admission_defers;
     lane.state = Lane::State::kDeferred;
     uint32_t li = lane.index;
-    eq_.ScheduleAfter(BusCyclesToPs(config_.admission_defer_bus_cycles),
+    eq_.ScheduleAfter(BusCyclesToPs(kAdmissionDeferBusCycles),
                       [this, li] {
                         Lane& l = *lanes_[li];
                         if (l.state != Lane::State::kDeferred) return;
@@ -698,7 +616,7 @@ void NdpRuntime::StartLease(Lane& lane) {
   lane.cur_lease_rows =
       std::min(rows_per_lease, lane.active->rows - lane.active->rows_done);
   lane.active->rows_leased = lane.active->rows_done + lane.cur_lease_rows;
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
+  if (debug_) {
     std::fprintf(stderr, "[lease] t=%llu lane=%u cycles=%llu rows=%llu\n",
                  (unsigned long long)eq_.Now(), lane.index,
                  (unsigned long long)lane.cur_lease_cycles,
@@ -741,7 +659,7 @@ void NdpRuntime::OnOwnershipAcquired(Lane& lane) {
     job.out_base = c.out_base + c.rows_done / 8;
     job.filter_base = filter.value();
     job.filter_words = c.job->filter_words;
-    job.hash_count = c.job->hash_count;
+    job.hash_count = array_->device_config().probe_hashes;
     Status st = lane.driver->ProbeJafar(job, [this, li](sim::Tick) {
       Lane& l = *lanes_[li];
       const jafar::Device& device = array_->device(l.device);
@@ -875,20 +793,8 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     } else {
       int64_t partial = static_cast<int64_t>(
           array_->dram().backing_store().Read64(lane.agg_scratch));
-      switch (job.agg) {
-        case jafar::AggKind::kSum:
-        case jafar::AggKind::kCount:
-          job.agg_value += partial;
-          break;
-        case jafar::AggKind::kMin:
-          job.agg_value =
-              job.agg_first ? partial : std::min(job.agg_value, partial);
-          break;
-        case jafar::AggKind::kMax:
-          job.agg_value =
-              job.agg_first ? partial : std::max(job.agg_value, partial);
-          break;
-      }
+      job.agg_value =
+          job.agg_first ? partial : FoldAgg(job.agg, job.agg_value, partial);
       job.agg_first = false;
     }
     c.rows_done += lane.cur_lease_rows;
@@ -904,8 +810,8 @@ void NdpRuntime::OnLeaseDone(Lane& lane, const Status& status,
     lane.ewma_ps_per_row =
         lane.rate_leases == 0
             ? ps_per_row
-            : config_.ewma_alpha * ps_per_row +
-                  (1.0 - config_.ewma_alpha) * lane.ewma_ps_per_row;
+            : kEwmaAlpha * ps_per_row +
+                  (1.0 - kEwmaAlpha) * lane.ewma_ps_per_row;
     ++lane.rate_leases;
     UpdateHeavyHitters();
   }
@@ -957,7 +863,7 @@ void NdpRuntime::ObserveWindow(Lane& lane) {
         static_cast<uint64_t>(std::max(0.0, busy - lane.busy_base));
     uint64_t requests =
         static_cast<uint64_t>(std::max(0.0, reqs - lane.req_base));
-    if (::getenv("NDP_RUNTIME_DEBUG")) {
+    if (debug_) {
       std::fprintf(
           stderr, "[obs] lane=%u win=%llu busy=%llu reqs=%llu ewma=%f\n",
           lane.index, (unsigned long long)window_cycles,
@@ -1092,18 +998,7 @@ void NdpRuntime::MergeGroup(Job& job, int64_t key, int64_t agg,
                             int64_t count) {
   auto [it, fresh] = job.groups.try_emplace(key, agg, count);
   if (fresh) return;
-  switch (job.agg) {
-    case jafar::AggKind::kSum:
-    case jafar::AggKind::kCount:
-      it->second.first += agg;
-      break;
-    case jafar::AggKind::kMin:
-      it->second.first = std::min(it->second.first, agg);
-      break;
-    case jafar::AggKind::kMax:
-      it->second.first = std::max(it->second.first, agg);
-      break;
-  }
+  it->second.first = FoldAgg(job.agg, it->second.first, agg);
   it->second.second += count;
 }
 
@@ -1113,7 +1008,7 @@ double NdpRuntime::EtaScore(const Lane& lane) const {
   uint64_t rows = StealableRows(lane);
   if (rows == 0) return 0.0;
   double rate;
-  if (lane.rate_leases >= config_.join_hh_min_leases) {
+  if (lane.rate_leases >= kRateTrustLeases) {
     rate = lane.ewma_ps_per_row;
   } else {
     // No trustworthy rate of its own yet: borrow the mean of trusted
@@ -1123,7 +1018,7 @@ double NdpRuntime::EtaScore(const Lane& lane) const {
     uint32_t n = 0;
     for (const auto& l : lanes_) {
       if (l->state == Lane::State::kDead) continue;
-      if (l->rate_leases >= config_.join_hh_min_leases) {
+      if (l->rate_leases >= kRateTrustLeases) {
         sum += l->ewma_ps_per_row;
         ++n;
       }
@@ -1147,7 +1042,7 @@ void NdpRuntime::UpdateHeavyHitters() {
   }
   if (busy < 2) return;  // nothing to compare against (or nobody to steal)
   double mean = sum / busy;
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
+  if (debug_) {
     std::fprintf(stderr, "[hh] t=%llu busy=%u mean=%.3g etas=",
                  (unsigned long long)eq_.Now(), busy, mean);
     for (const auto& lane : lanes_) {
@@ -1159,8 +1054,8 @@ void NdpRuntime::UpdateHeavyHitters() {
   bool flagged_new = false;
   for (auto& lane : lanes_) {
     if (lane->state == Lane::State::kDead) continue;
-    bool hot = lane->rate_leases >= config_.join_hh_min_leases &&
-               EtaScore(*lane) > config_.join_hh_threshold * mean;
+    bool hot = lane->rate_leases >= kRateTrustLeases &&
+               EtaScore(*lane) > kHeavyHitterThreshold * mean;
     if (hot && !lane->hh_flagged) {
       ++counters_.hh_flags;
       flagged_new = true;
@@ -1186,15 +1081,15 @@ uint64_t NdpRuntime::StealableRows(const Lane& lane) const {
 
 void NdpRuntime::TrySteal(Lane& thief) {
   if (!config_.steal_enabled || thief.state != Lane::State::kIdle) return;
-  // Victim selection. Row count is the classic choice; ETA (rows x observed
-  // ps/row) is the skew-aware one — a heavy-hitter lane with few rows of
-  // expensive keys outranks a fast lane with more rows. Both are computed so
-  // the divergence is visible in the eta_steals counter.
+  // Victim selection by ETA (rows x observed ps/row), the skew-aware choice:
+  // a heavy-hitter lane with few rows of expensive keys outranks a fast lane
+  // with more rows. The classic most-rows victim is tracked only so the
+  // divergence is visible in the eta_steals counter.
   Lane* rows_victim = nullptr;
   uint64_t max_rows = 0;
-  Lane* eta_victim = nullptr;
+  Lane* victim = nullptr;
   double max_eta = 0.0;
-  uint64_t eta_victim_rows = 0;
+  uint64_t victim_rows = 0;
   for (auto& cand : lanes_) {
     if (cand.get() == &thief) continue;
     uint64_t rows = StealableRows(*cand);
@@ -1202,21 +1097,15 @@ void NdpRuntime::TrySteal(Lane& thief) {
       rows_victim = cand.get();
       max_rows = rows;
     }
-    if (config_.join_eta_steal) {
-      double eta = EtaScore(*cand);
-      if (eta > max_eta) {
-        eta_victim = cand.get();
-        max_eta = eta;
-        eta_victim_rows = rows;
-      }
+    double eta = EtaScore(*cand);
+    if (eta > max_eta) {
+      victim = cand.get();
+      max_eta = eta;
+      victim_rows = rows;
     }
   }
-  Lane* victim = config_.join_eta_steal ? eta_victim : rows_victim;
-  uint64_t victim_rows = config_.join_eta_steal ? eta_victim_rows : max_rows;
   if (victim == nullptr) return;
-  if (config_.join_eta_steal && victim != rows_victim) {
-    ++counters_.eta_steals;
-  }
+  if (victim != rows_victim) ++counters_.eta_steals;
   // Steal from the tail of the victim's backlog: its newest queued chunk, or
   // the un-dispatched tail of its active chunk.
   Chunk* source = nullptr;
@@ -1238,14 +1127,14 @@ void NdpRuntime::TrySteal(Lane& thief) {
       RowsPerLeaseCycles(array_->timing(), array_->device_config(),
                          controllers_[thief.channel]->NextLeaseBusCycles());
   uint64_t quantum = std::max<uint64_t>(
-      config_.steal_min_pages * kRowsPerPage, lease_rows / 4);
+      kStealMinPages * kRowsPerPage, lease_rows / 4);
   uint64_t desired =
       std::min({source->rows - reserved, victim_rows / 2, quantum});
   // Keep the victim a page-aligned prefix so both halves' bitmap rows stay
   // word-aligned; the ragged tail (if any) travels with the thief.
   uint64_t keep = std::max(reserved, RoundDownPages(source->rows - desired));
   uint64_t steal_rows = source->rows - keep;
-  if (steal_rows < config_.steal_min_pages * kRowsPerPage) return;
+  if (steal_rows < kStealMinPages * kRowsPerPage) return;
   Job& job = *source->job;
   uint64_t src_addr = source->col_base + keep * 8;
   uint64_t val_src_addr =
@@ -1255,7 +1144,7 @@ void NdpRuntime::TrySteal(Lane& thief) {
                       first_row, steal_rows)) {
     return;  // thief rank full — not worth failing anything over
   }
-  if (::getenv("NDP_RUNTIME_DEBUG")) {
+  if (debug_) {
     std::fprintf(stderr, "[steal] t=%llu thief=%u victim=%u rows=%llu\n",
                  (unsigned long long)eq_.Now(), thief.index, victim->index,
                  (unsigned long long)steal_rows);
@@ -1314,8 +1203,8 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
     // (the image itself is laid down by EnsureProbeFilter at dispatch).
     bursts += (job.filter_words * 8 + 63) / 64;
   }
-  uint64_t copy_cycles = config_.steal_copy_overhead_bus_cycles +
-                         bursts * array_->timing().tccd;
+  uint64_t copy_cycles =
+      kStealCopyOverheadBusCycles + bursts * array_->timing().tccd;
   uint32_t ti = target.index;
   // Shared-pointer hand-off keeps the chunk alive inside the closure.
   std::shared_ptr<Chunk> pending(chunk.release());
@@ -1459,7 +1348,8 @@ db::NdpSelectHook NdpRuntime::MakePushdownHook() {
     NDP_RETURN_NOT_OK(PredToJafarRange(pred, &lo, &hi));
     NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(col));
     NDP_ASSIGN_OR_RETURN(
-        JobId id, SubmitSelect(*placed, lo, hi, JobPriority::kInteractive));
+        JobId id,
+        SubmitSelect(*placed, lo, hi, {.priority = JobPriority::kInteractive}));
     NDP_RETURN_NOT_OK(WaitFor(id));
     const JobResult* r = result(id);
     NDP_RETURN_NOT_OK(r->status);
@@ -1479,7 +1369,8 @@ db::NdpSelectBatchHook NdpRuntime::MakePushdownBatchHook() {
       NDP_RETURN_NOT_OK(PredToJafarRange(pred, &lo, &hi));
       NDP_ASSIGN_OR_RETURN(PlacedColumn * placed, EnsurePlaced(*col));
       NDP_ASSIGN_OR_RETURN(
-          JobId id, SubmitSelect(*placed, lo, hi, JobPriority::kInteractive));
+          JobId id, SubmitSelect(*placed, lo, hi,
+                                 {.priority = JobPriority::kInteractive}));
       ids.push_back(id);
     }
     std::vector<db::PositionList> lists;
@@ -1506,14 +1397,15 @@ db::NdpSemiJoinHook NdpRuntime::MakeSemiJoinHook() {
     // the device probes) and the exact key set (what refines the device's
     // candidates). Sharing BloomBitIndex with the device functional model is
     // what makes "no false negatives" a structural property, not a hope.
-    const uint64_t filter_words = config_.join_filter_kb * 1024 / 8;
+    const uint64_t filter_words = kBloomFilterKb * 1024 / 8;
     std::vector<uint64_t> image(filter_words, 0);
+    const uint32_t hashes = array_->device_config().probe_hashes;
     std::unordered_set<int64_t> build_keys;
     build_keys.reserve(build_pos.size());
     for (uint32_t p : build_pos) {
       int64_t key = build_col[p];
       if (!build_keys.insert(key).second) continue;
-      for (uint32_t h = 0; h < config_.join_hashes; ++h) {
+      for (uint32_t h = 0; h < hashes; ++h) {
         uint64_t bit =
             jafar::BloomBitIndex(static_cast<uint64_t>(key), h, filter_words);
         image[bit / 64] |= uint64_t{1} << (bit % 64);

@@ -35,22 +35,21 @@
 
 namespace ndp::core {
 
-/// QoS and policy knobs of the runtime. All cycle quantities are DDR3 bus
-/// cycles. Overridable from the environment via NDP_RUNTIME_* (FromEnv).
+/// Lease floor, bus cycles: no lease (and no stall cap) goes below it.
+inline constexpr uint64_t kLeaseMinBusCycles = 2'000;
+/// Floor for the host window between leases, bus cycles.
+inline constexpr uint64_t kHostWindowMinBusCycles = 500;
+/// Bloom filter image size of a semijoin probe, KB. A power of two, so the
+/// device reduces hashes to bit indices with a mask instead of a divider.
+inline constexpr uint64_t kBloomFilterKb = 16;
+
+/// QoS and policy settings of the runtime. All cycle quantities are DDR3 bus
+/// cycles; the policy's fixed tuning lives in named constants above and in
+/// runtime.cc.
 struct RuntimeConfig {
   // -- Lease controller -----------------------------------------------------
-  uint64_t lease_min_bus_cycles = 2'000;
   uint64_t lease_max_bus_cycles = 160'000;
   uint64_t lease_init_bus_cycles = 20'000;
-  double lease_grow = 2.0;     ///< multiplicative increase when idle
-  double lease_shrink = 0.5;   ///< multiplicative decrease when over budget
-  /// EWMA smoothing for the per-window busy fraction and idle estimate.
-  double ewma_alpha = 0.25;
-  /// Host utilization below which the channel counts as idle (grow region).
-  double idle_busy_threshold = 0.05;
-  /// When idle, grow at least to idle_fill_factor x the EWMA of the §3.3
-  /// mean-idle-period estimate — the "size leases from the estimator" rule.
-  double idle_fill_factor = 32.0;
 
   // -- QoS budget -----------------------------------------------------------
   /// Max CPU slowdown budget, percent: bounds the rank-ownership duty cycle
@@ -59,61 +58,15 @@ struct RuntimeConfig {
   /// Longest-stall bound: no lease (hence no single host-request stall due
   /// to ownership) may exceed this many bus cycles.
   uint64_t qos_max_stall_bus_cycles = 40'000;
-  /// Floor for the host window between leases.
-  uint64_t host_window_min_bus_cycles = 500;
-
-  // -- Admission ------------------------------------------------------------
-  /// Batch-priority dispatches are deferred this long while the channel is
-  /// over budget...
-  uint64_t admission_defer_bus_cycles = 4'000;
-  /// ...but at most this many consecutive times (starvation freedom).
-  uint32_t admission_max_defers = 8;
 
   // -- Recovery -------------------------------------------------------------
   /// Per-lane driver (watchdog/retry/writeback-checksum) configuration,
   /// passed through to each lane's jafar::Driver unchanged.
   jafar::DriverConfig driver;
 
-  // -- Device generation ----------------------------------------------------
-  /// Datapath generation of the JAFAR units this runtime drives; callers
-  /// building the DimmArray must derive the matching DeviceConfig
-  /// (DeviceConfig::Derive for v1_rank_io, DeriveBank for v2_bank_level).
-  /// Overridable via NDP_DEVICE_GEN (strict parse, like the other knobs).
-  jafar::DeviceGeneration device_gen = jafar::DeviceGeneration::kV1RankIo;
-
   // -- Work stealing --------------------------------------------------------
   bool steal_enabled = true;
-  /// Minimum profitable steal, in 4 KB pages.
-  uint64_t steal_min_pages = 4;
-  /// Fixed overhead of a host-mediated steal copy, in bus cycles (on top of
-  /// 1 x tCCD per 64 B burst: the read and write streams pipeline through the
-  /// host buffer on different channels).
-  uint64_t steal_copy_overhead_bus_cycles = 2'000;
 
-  // -- Join / group-by pushdown ---------------------------------------------
-  /// Bloom hash lanes per probe job. Must match the DeviceConfig's
-  /// probe_hashes (the accel-model schedule the probe timing derives from);
-  /// SubmitProbe rejects a mismatch up front.
-  uint64_t join_hashes = 2;
-  /// Bloom filter image size in KB. Power of two, so the device can reduce
-  /// hashes to bit indices with a mask instead of a divider.
-  uint64_t join_filter_kb = 16;
-  /// Steal-victim selection: pick the lane with the largest estimated time
-  /// to drain (stealable rows x EWMA ps/row) instead of the most rows, so a
-  /// slow lane buried under skewed partitions is relieved first even when a
-  /// fast lane happens to hold more raw rows.
-  bool join_eta_steal = true;
-  /// A lane whose drain ETA exceeds threshold x the mean over busy lanes is
-  /// flagged as a heavy hitter; newly flagged lanes wake idle siblings so
-  /// stealing starts immediately rather than at the next natural wake-up.
-  double join_hh_threshold = 1.5;
-  /// Trust a lane's progress-rate EWMA only after this many completed
-  /// leases; untrusted lanes borrow the mean rate of trusted siblings.
-  uint64_t join_hh_min_leases = 2;
-
-  /// Reads NDP_RUNTIME_* overrides onto the defaults; strict parses, and a
-  /// malformed value is InvalidArgument, never silently ignored.
-  static Result<RuntimeConfig> FromEnv();
   Status Validate() const;
 
   double qos_budget_fraction() const { return qos_max_cpu_slowdown_pct / 100.0; }
@@ -126,15 +79,17 @@ struct RuntimeConfig {
 /// idle-period estimate, beta = qos budget fraction, and
 /// cap = min(lease_max, qos_max_stall). Per observation:
 ///
-///   u > beta                : L <- max(L_min, shrink * L)         (over budget)
-///   u < idle_busy_threshold : L <- min(cap, max(grow * L,
-///                                  idle_fill_factor * i))         (idle)
-///   otherwise               : L unchanged                         (hold)
+///   u > beta               : L <- max(L_min, kLeaseShrink * L)  (over budget)
+///   u < kIdleBusyThreshold : L <- min(cap, max(kLeaseGrow * L,
+///                                 kIdleFillFactor * i))        (idle)
+///   otherwise              : L unchanged                       (hold)
 ///
-/// and the host window is W(L) = max(W_min, L * (1 - beta) / beta), collapsed
-/// to W_min when the channel is idle. Tightening the budget (smaller beta or
-/// smaller stall cap) can only shrink L and grow W for the same observation
-/// sequence — the monotonicity property tests pin this.
+/// with L_min = kLeaseMinBusCycles and the other constants in runtime.cc.
+/// The host window is W(L) = max(W_min, L * (1 - beta) / beta),
+/// collapsed to W_min = kHostWindowMinBusCycles when the channel is idle.
+/// Tightening the budget (smaller beta or smaller stall cap) can only shrink
+/// L and grow W for the same observation sequence — the monotonicity
+/// property tests pin this.
 class LeaseController {
  public:
   explicit LeaseController(const RuntimeConfig& cfg);
@@ -179,7 +134,7 @@ enum class JobKind : uint8_t { kSelect, kAggregate, kProbe, kGroupBy };
 struct SubmitOptions {
   JobPriority priority = JobPriority::kBatch;
   sim::Tick deadline_ps = 0;
-  std::function<void(const struct JobResult&)> on_done;
+  std::function<void(const struct JobResult&)> on_done = {};
 };
 
 /// Completion record of one runtime job.
@@ -213,12 +168,11 @@ class NdpRuntime {
   ~NdpRuntime();
   NDP_DISALLOW_COPY_AND_ASSIGN(NdpRuntime);
 
-  /// Enqueues an asynchronous range select over a placed column. `on_done`
-  /// (optional) fires from the event loop at completion; the result is also
-  /// retrievable via result() after Drain()/WaitFor().
+  /// Enqueues an asynchronous range select over a placed column.
+  /// `opts.on_done` (optional) fires from the event loop at completion; the
+  /// result is also retrievable via result() after Drain()/WaitFor().
   Result<JobId> SubmitSelect(const PlacedColumn& col, int64_t lo, int64_t hi,
-                             JobPriority priority = JobPriority::kBatch,
-                             JobCallback on_done = {});
+                             SubmitOptions opts = {});
   /// Enqueues an asynchronous full-column aggregate (kSum/kMin/kMax/kCount).
   Result<JobId> SubmitAggregate(const PlacedColumn& col, jafar::AggKind kind,
                                 JobPriority priority = JobPriority::kBatch,
@@ -245,10 +199,6 @@ class NdpRuntime {
                               const PlacedColumn& vals, jafar::AggKind kind,
                               JobPriority priority = JobPriority::kBatch,
                               JobCallback on_done = {});
-
-  /// Deadline-carrying select (the serving-ingress admission entry).
-  Result<JobId> SubmitSelectWith(const PlacedColumn& col, int64_t lo,
-                                 int64_t hi, SubmitOptions opts);
 
   /// One select of a batch-admission burst: the ingress drains its rings in
   /// bursts and admits the whole burst before any lane wakes, so one poke
@@ -294,9 +244,9 @@ class NdpRuntime {
   struct Job;
   struct Lane;
 
-  Result<JobId> Submit(const PlacedColumn& col, JobKind kind,
-                       jafar::CompareOp op, int64_t lo, int64_t hi,
-                       jafar::AggKind agg, SubmitOptions opts, bool poke_lanes,
+  Result<JobId> Submit(const PlacedColumn& col, JobKind kind, int64_t lo,
+                       int64_t hi, jafar::AggKind agg, SubmitOptions opts,
+                       bool poke_lanes,
                        const PlacedColumn* vals = nullptr,
                        std::vector<uint64_t> filter_image = {});
   /// True (and fails + counts the job) when its deadline has already passed.
@@ -365,6 +315,8 @@ class NdpRuntime {
   DimmArray* array_;
   RuntimeConfig config_;
   sim::EventQueue& eq_;
+  /// NDP_RUNTIME_DEBUG, read once: trace lease/observe/steal decisions.
+  bool debug_ = false;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::unique_ptr<LeaseController>> controllers_;  ///< per channel
   std::map<JobId, std::unique_ptr<Job>> jobs_;

@@ -10,8 +10,6 @@
 //   * Skew property: at Zipf-2 placement skew, ETA-driven stealing cuts the
 //     probe makespan versus stealing disabled, and the heavy-hitter detector
 //     actually fires.
-//   * Knobs: NDP_JOIN_* strict parsing and Validate rejection.
-#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <unordered_set>
@@ -40,6 +38,9 @@ jafar::DeviceConfig Config() {
                                      accel::DatapathResources{})
       .ValueOrDie();
 }
+
+/// Words of the runtime's Bloom image.
+constexpr uint64_t kFilterWords = kBloomFilterKb * 1024 / 8;
 
 /// Host-side mirror of the runtime's filter builder: same BloomBitIndex,
 /// same image layout. `words` must be a power of two.
@@ -86,17 +87,17 @@ std::map<int64_t, std::pair<int64_t, int64_t>> GroupOracle(
 // -- Probe exactness ----------------------------------------------------------
 
 TEST(JoinPushdownTest, ProbeBitmapMatchesHostBloomEvaluation) {
+  // The runtime probes with the device's accel-derived hash count.
+  const uint32_t hashes = Config().probe_hashes;
   DimmArray array(dram::DramTiming::DDR3_1600(), 2, 1, Config());
-  RuntimeConfig cfg;
-  NdpRuntime runtime(&array, cfg);
+  NdpRuntime runtime(&array, RuntimeConfig{});
   db::Column col = RandomColumn(40'000, 101);
   PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
 
   // Build side: every multiple of 97 in the key domain.
   std::vector<int64_t> build_keys;
   for (int64_t k = 0; k < 1'000'000; k += 97) build_keys.push_back(k);
-  const uint64_t words = cfg.join_filter_kb * 1024 / 8;
-  std::vector<uint64_t> image = BloomImage(build_keys, words, cfg.join_hashes);
+  std::vector<uint64_t> image = BloomImage(build_keys, kFilterWords, hashes);
   std::unordered_set<int64_t> build_set(build_keys.begin(), build_keys.end());
 
   auto id = runtime.SubmitProbe(placed, image).ValueOrDie();
@@ -106,7 +107,7 @@ TEST(JoinPushdownTest, ProbeBitmapMatchesHostBloomEvaluation) {
 
   uint64_t expected_matches = 0;
   for (size_t i = 0; i < col.size(); ++i) {
-    bool expected = BloomHit(col[i], image, cfg.join_hashes);
+    bool expected = BloomHit(col[i], image, hashes);
     expected_matches += expected;
     ASSERT_EQ(r->bitmap.Get(i), expected) << "row " << i;
     if (build_set.count(col[i]) != 0) {
@@ -120,28 +121,14 @@ TEST(JoinPushdownTest, ProbeBitmapMatchesHostBloomEvaluation) {
 
 TEST(JoinPushdownTest, ProbeRejectsMalformedSubmissions) {
   db::Column col = RandomColumn(4'096, 102);
-  {
-    DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
-    NdpRuntime runtime(&array, RuntimeConfig{});
-    PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
-    // Image whose word count is not a power of two.
-    std::vector<uint64_t> lopsided(100, 0);
-    EXPECT_FALSE(runtime.SubmitProbe(placed, lopsided).ok());
-    // Empty image.
-    EXPECT_FALSE(runtime.SubmitProbe(placed, {}).ok());
-  }
-  {
-    // Hash-lane count that disagrees with the device's accel-derived
-    // probe_hashes: the modeled schedule would no longer match the
-    // functional filter, so the submission is rejected up front.
-    DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
-    RuntimeConfig cfg;
-    cfg.join_hashes = Config().probe_hashes + 1;
-    NdpRuntime runtime(&array, cfg);
-    PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
-    std::vector<uint64_t> image(1024, 0);
-    EXPECT_FALSE(runtime.SubmitProbe(placed, image).ok());
-  }
+  DimmArray array(dram::DramTiming::DDR3_1600(), 1, 1, Config());
+  NdpRuntime runtime(&array, RuntimeConfig{});
+  PlacedColumn placed = array.PlaceColumn(col).ValueOrDie();
+  // Image whose word count is not a power of two.
+  std::vector<uint64_t> lopsided(100, 0);
+  EXPECT_FALSE(runtime.SubmitProbe(placed, lopsided).ok());
+  // Empty image.
+  EXPECT_FALSE(runtime.SubmitProbe(placed, {}).ok());
 }
 
 // -- Hook oracles -------------------------------------------------------------
@@ -192,6 +179,7 @@ TEST(JoinPushdownTest, GroupByHookMatchesCpuOracle) {
 // -- Transplant integrity under skew ------------------------------------------
 
 TEST(JoinPushdownTest, TransplantsLoseNoRowAndDoubleCountNone) {
+  const uint32_t hashes = Config().probe_hashes;
   DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
   RuntimeConfig cfg;
   cfg.steal_enabled = true;
@@ -207,7 +195,7 @@ TEST(JoinPushdownTest, TransplantsLoseNoRowAndDoubleCountNone) {
   std::vector<int64_t> build_keys;
   for (int64_t k = 0; k < 100'000; k += 64) build_keys.push_back(k);
   std::vector<uint64_t> image =
-      BloomImage(build_keys, cfg.join_filter_kb * 1024 / 8, cfg.join_hashes);
+      BloomImage(build_keys, kFilterWords, hashes);
 
   array.eq().RunUntil(array.eq().Now() + 20'000'000);
   auto probe_id = runtime.SubmitProbe(pk, image).ValueOrDie();
@@ -220,7 +208,7 @@ TEST(JoinPushdownTest, TransplantsLoseNoRowAndDoubleCountNone) {
   ASSERT_TRUE(pr != nullptr && pr->status.ok());
   uint64_t expected_matches = 0;
   for (size_t i = 0; i < n; ++i) {
-    bool expected = BloomHit(keys[i], image, cfg.join_hashes);
+    bool expected = BloomHit(keys[i], image, hashes);
     expected_matches += expected;
     ASSERT_EQ(pr->bitmap.Get(i), expected) << "row " << i;
   }
@@ -240,6 +228,7 @@ TEST(JoinPushdownTest, TransplantsLoseNoRowAndDoubleCountNone) {
 }
 
 TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
+  const uint32_t hashes = Config().probe_hashes;
   db::Column col = RandomColumn(1u << 18, 131);
   // Zipf-2 placement over 4 devices: weights (d+1)^-2, so device 0 holds
   // ~70% of the rows.
@@ -254,14 +243,14 @@ TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
     RuntimeConfig cfg;
     cfg.steal_enabled = steal;
     // Short lease windows so the probe spans many leases per lane: the
-    // heavy-hitter detector needs `join_hh_min_leases` completed leases on
-    // the hot lane while the imbalance is still live (DESIGN.md §12).
+    // heavy-hitter detector needs a few completed leases on the hot lane
+    // while the imbalance is still live (DESIGN.md §12).
     cfg.lease_init_bus_cycles = 4'000;
     cfg.lease_max_bus_cycles = 8'000;
     NdpRuntime runtime(&array, cfg);
     PlacedColumn placed = array.PlaceColumn(col, weights).ValueOrDie();
     std::vector<uint64_t> image =
-        BloomImage(build_keys, cfg.join_filter_kb * 1024 / 8, cfg.join_hashes);
+        BloomImage(build_keys, kFilterWords, hashes);
     array.eq().RunUntil(array.eq().Now() + 20'000'000);
     auto id = runtime.SubmitProbe(placed, image).ValueOrDie();
     EXPECT_TRUE(runtime.Drain().ok());
@@ -269,7 +258,7 @@ TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
     EXPECT_TRUE(r->status.ok());
     uint64_t expected = 0;
     for (size_t i = 0; i < col.size(); ++i) {
-      expected += BloomHit(col[i], image, cfg.join_hashes);
+      expected += BloomHit(col[i], image, hashes);
     }
     EXPECT_EQ(r->matches, expected);
     if (hh_flags != nullptr) {
@@ -286,52 +275,6 @@ TEST(JoinPushdownTest, EtaStealingCutsZipf2ProbeMakespan) {
       << "x)";
   // The heavy-hitter detector flagged the overloaded lane at least once.
   EXPECT_GE(hh_flags_on, 1.0);
-}
-
-// -- Knobs --------------------------------------------------------------------
-
-TEST(JoinPushdownTest, ValidateRejectsBadJoinKnobs) {
-  RuntimeConfig cfg;
-  cfg.join_hashes = 0;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hashes = 9;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_filter_kb = 12;  // not a power of two
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hh_threshold = 0.5;  // a sub-mean "heavy hitter" is meaningless
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RuntimeConfig{};
-  cfg.join_hh_min_leases = 0;
-  EXPECT_FALSE(cfg.Validate().ok());
-  EXPECT_TRUE(RuntimeConfig{}.Validate().ok());
-}
-
-TEST(JoinPushdownTest, FromEnvStrictParsesJoinKnobs) {
-  setenv("NDP_JOIN_HASHES", "4", 1);
-  setenv("NDP_JOIN_FILTER_KB", "32", 1);
-  setenv("NDP_JOIN_ETA_STEAL", "0", 1);
-  setenv("NDP_JOIN_HH_THRESHOLD", "2.5", 1);
-  setenv("NDP_JOIN_HH_MIN_LEASES", "3", 1);
-  auto ok = RuntimeConfig::FromEnv();
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().join_hashes, 4u);
-  EXPECT_EQ(ok.value().join_filter_kb, 32u);
-  EXPECT_FALSE(ok.value().join_eta_steal);
-  EXPECT_DOUBLE_EQ(ok.value().join_hh_threshold, 2.5);
-  EXPECT_EQ(ok.value().join_hh_min_leases, 3u);
-  // Malformed values are errors, never silently ignored.
-  setenv("NDP_JOIN_FILTER_KB", "16kb", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_JOIN_FILTER_KB");
-  setenv("NDP_JOIN_HH_THRESHOLD", "hot", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_JOIN_HASHES");
-  unsetenv("NDP_JOIN_ETA_STEAL");
-  unsetenv("NDP_JOIN_HH_THRESHOLD");
-  unsetenv("NDP_JOIN_HH_MIN_LEASES");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Multi-query runtime tests: lease-controller properties (QoS monotonicity,
 // starvation freedom), oracle-matched concurrent jobs, work-stealing
-// makespan, and byte-identical determinism.
+// makespan, ETA victim choice under host traffic, and byte-identical
+// determinism.
 #include "core/runtime.h"
 
 #include <gtest/gtest.h>
@@ -47,7 +48,7 @@ TEST(LeaseControllerTest, GrowsTowardCapWhenChannelIdle) {
   EXPECT_GT(lc.qos_grows(), 0u);
   // Idle channel collapses the host window to its floor.
   EXPECT_EQ(lc.HostWindowBusCycles(lc.NextLeaseBusCycles()),
-            cfg.host_window_min_bus_cycles);
+            kHostWindowMinBusCycles);
 }
 
 TEST(LeaseControllerTest, ShrinksToFloorWhenOverBudget) {
@@ -55,7 +56,7 @@ TEST(LeaseControllerTest, ShrinksToFloorWhenOverBudget) {
   LeaseController lc(cfg);
   for (int i = 0; i < 32; ++i) lc.Observe(10'000, 9'000, 100);
   EXPECT_TRUE(lc.OverBudget());
-  EXPECT_EQ(lc.NextLeaseBusCycles(), cfg.lease_min_bus_cycles);
+  EXPECT_EQ(lc.NextLeaseBusCycles(), kLeaseMinBusCycles);
   EXPECT_GT(lc.qos_shrinks(), 0u);
   // Busy channel gets a window sized to keep the duty cycle within budget:
   // W >= L * (1 - beta) / beta.
@@ -90,9 +91,9 @@ TEST(LeaseControllerTest, TighterBudgetIsMonotone) {
     tight.qos_max_cpu_slowdown_pct =
         loose.qos_max_cpu_slowdown_pct * (0.6 + 0.3 * rng.NextDouble());
     tight.qos_max_stall_bus_cycles =
-        loose.lease_min_bus_cycles +
+        kLeaseMinBusCycles +
         rng.NextBounded(static_cast<uint32_t>(loose.qos_max_stall_bus_cycles -
-                                              loose.lease_min_bus_cycles + 1));
+                                              kLeaseMinBusCycles + 1));
     ASSERT_TRUE(loose.Validate().ok());
     ASSERT_TRUE(tight.Validate().ok());
 
@@ -119,28 +120,22 @@ TEST(LeaseControllerTest, TighterBudgetIsMonotone) {
 }
 
 TEST(RuntimeConfigTest, ValidateRejectsBadKnobs) {
+  EXPECT_TRUE(RuntimeConfig{}.Validate().ok());
   RuntimeConfig cfg;
-  cfg.lease_min_bus_cycles = 0;
+  cfg.lease_init_bus_cycles = kLeaseMinBusCycles - 1;  // below the floor
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};
-  cfg.lease_shrink = 1.5;
+  cfg.lease_init_bus_cycles = cfg.lease_max_bus_cycles + 1;
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};
-  cfg.idle_busy_threshold = 0.5;  // above the 25% budget fraction
+  cfg.qos_max_cpu_slowdown_pct = 4.0;  // below the 5% idle threshold
+  EXPECT_FALSE(cfg.Validate().ok());
+  cfg = RuntimeConfig{};
+  cfg.qos_max_cpu_slowdown_pct = 101.0;
   EXPECT_FALSE(cfg.Validate().ok());
   cfg = RuntimeConfig{};
   cfg.qos_max_stall_bus_cycles = 100;  // below lease_min
   EXPECT_FALSE(cfg.Validate().ok());
-}
-
-TEST(RuntimeConfigTest, FromEnvStrictParse) {
-  setenv("NDP_RUNTIME_LEASE_INIT", "30000", 1);
-  auto ok = RuntimeConfig::FromEnv();
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().lease_init_bus_cycles, 30'000u);
-  setenv("NDP_RUNTIME_LEASE_INIT", "3zz", 1);
-  EXPECT_FALSE(RuntimeConfig::FromEnv().ok());
-  unsetenv("NDP_RUNTIME_LEASE_INIT");
 }
 
 // -- NdpRuntime ---------------------------------------------------------------
@@ -155,8 +150,10 @@ TEST(NdpRuntimeTest, ConcurrentJobsMatchOracle) {
   PlacedColumn pb = array.PlaceColumn(b).ValueOrDie();
 
   auto s1 = runtime.SubmitSelect(pa, 0, 249'999).ValueOrDie();
-  auto s2 = runtime.SubmitSelect(pa, 500'000, 999'999,
-                                 JobPriority::kInteractive).ValueOrDie();
+  auto s2 = runtime
+                .SubmitSelect(pa, 500'000, 999'999,
+                              {.priority = JobPriority::kInteractive})
+                .ValueOrDie();
   auto s3 = runtime.SubmitSelect(pb, 100'000, 200'000).ValueOrDie();
   auto g1 = runtime.SubmitAggregate(pb, jafar::AggKind::kSum).ValueOrDie();
   ASSERT_TRUE(runtime.Drain().ok());
@@ -207,6 +204,43 @@ TEST(NdpRuntimeTest, StealingCutsSkewedMakespan) {
       << "stealing should cut the 4x-skew makespan by >= 1.5x (got "
       << static_cast<double>(without) / static_cast<double>(with_steal)
       << "x)";
+}
+
+// abl_runtime's load 60 req/us, QoS 50%, 4x-skew point: host traffic on
+// channel 0 slows the overloaded lane, so on some steals the lane with the
+// longest drain ETA is not the one holding the most rows. eta_steals counts
+// exactly those steals; a victim choice by row count alone leaves it at 0.
+TEST(NdpRuntimeTest, EtaVictimChoiceFiresUnderHostTraffic) {
+  db::Column col = RandomColumn(256u * 1024, 20150601);
+  DimmArray array(dram::DramTiming::DDR3_1600(), 4, 1, Config());
+  RuntimeConfig cfg;
+  cfg.qos_max_cpu_slowdown_pct = 50.0;
+  NdpRuntime runtime(&array, cfg);
+  PlacedColumn placed =
+      array.PlaceColumn(col, {4.0, 1.0, 1.0, 1.0}).ValueOrDie();
+  uint64_t region = array.AllocOnDevice(0, 1u << 20).ValueOrDie();
+  HostTrafficConfig tc;
+  tc.reqs_per_us = 60.0;
+  tc.seed = 20150601;
+  HostTrafficGen traffic(&array.eq(), &array.dram().controller(0), tc);
+  traffic.AddRegion(region, 1u << 20);
+  traffic.Start();
+  array.eq().RunUntil(array.eq().Now() + 20'000'000);
+
+  const int64_t lo[] = {0, 250'000, 700'000};
+  const int64_t hi[] = {333'333, 649'999, 999'999};
+  std::vector<NdpRuntime::JobId> ids;
+  for (int j = 0; j < 3; ++j) {
+    ids.push_back(runtime.SubmitSelect(placed, lo[j], hi[j]).ValueOrDie());
+  }
+  ASSERT_TRUE(runtime.Drain().ok());
+  traffic.Stop();
+  for (int j = 0; j < 3; ++j) {
+    const JobResult* r = runtime.result(ids[j]);
+    ASSERT_TRUE(r != nullptr && r->status.ok()) << "job " << j;
+    EXPECT_EQ(r->matches, Oracle(col, lo[j], hi[j])) << "job " << j;
+  }
+  EXPECT_GE(array.stats().ReadValue("array.runtime.eta_steals"), 1.0);
 }
 
 TEST(NdpRuntimeTest, BatchJobsCompleteUnderSaturatingHostTraffic) {

@@ -1,5 +1,6 @@
 #include "jafar/datapath.h"
 
+#include <cstring>
 #include <utility>
 
 #include "fault/injector.h"
@@ -45,8 +46,19 @@ const RowStoreJob& DatapathModel::rowstore_job() const {
 
 const ProbeJob& DatapathModel::probe_job() const { return *dev_->probe_; }
 
-bool DatapathModel::EvalProbeKey(int64_t key) const {
-  return dev_->EvalProbeKey(key);
+bool DatapathModel::EvalColumnValue(int64_t v) const {
+  if (dev_->probe_.has_value()) return dev_->EvalProbeKey(v);
+  const SelectJob& job = *dev_->select_;
+  return EvalCompare(job.op, v, job.range_low, job.range_high);
+}
+
+bool DatapathModel::EvalTuple(uint64_t tuple_addr) const {
+  bool pass = true;
+  for (const RowPredicate& p : dev_->rowstore_->predicates) {
+    int64_t v = static_cast<int64_t>(Read64(tuple_addr + p.attr_offset_bytes));
+    pass = pass && EvalCompare(p.op, v, p.range_low, p.range_high);
+  }
+  return pass;
 }
 
 uint64_t DatapathModel::cursor_rows() const { return dev_->cursor_rows_; }
@@ -76,28 +88,9 @@ uint64_t DatapathModel::pending_bit_count() const {
   return dev_->pending_bit_count_;
 }
 
-void DatapathModel::IssueWhenReady(dram::Command cmd,
-                                   std::function<void(sim::Tick)> next,
-                                   std::function<void()> on_stale,
-                                   bool defer_to_refresh) {
-  dev_->IssueWhenReady(std::move(cmd), std::move(next), std::move(on_stale),
-                       defer_to_refresh);
-}
+Device::Lane& DatapathModel::lane(uint32_t i) { return dev_->lane(i); }
 
-void DatapathModel::OpenRow(const dram::DramLocation& loc,
-                            std::function<void()> next) {
-  dev_->OpenRow(loc, std::move(next));
-}
-
-void DatapathModel::ReadBurst(uint64_t addr,
-                              std::function<void(sim::Tick)> next) {
-  dev_->ReadBurst(addr, std::move(next));
-}
-
-void DatapathModel::ReadBurstChain(uint64_t addr, uint64_t bursts,
-                                   std::function<void(sim::Tick)> on_last_data) {
-  dev_->ReadBurstChain(addr, bursts, std::move(on_last_data));
-}
+void DatapathModel::SetLaneCount(uint32_t n) { dev_->SetLaneCount(n); }
 
 void DatapathModel::BeginProbe() {
   // Filter preload, shared by every generation: announce the load window to
@@ -108,7 +101,7 @@ void DatapathModel::BeginProbe() {
   channel().NoteProbeFilterLoadStart(rank_index(), eq()->Now());
   dev_->probe_sram_.assign(job.filter_words, 0);
   uint64_t bursts = (job.filter_words * 8 + 63) / 64;
-  ReadBurstChain(job.filter_base, bursts, [this](sim::Tick) {
+  lane().ReadBurstChain(job.filter_base, bursts, [this](sim::Tick) {
     const ProbeJob& j = *dev_->probe_;
     for (uint64_t w = 0; w < j.filter_words; ++w) {
       dev_->probe_sram_[w] = Read64(j.filter_base + w * 8);
@@ -118,25 +111,26 @@ void DatapathModel::BeginProbe() {
   });
 }
 
-void DatapathModel::FlushBitmap(std::function<void()> next) {
-  dev_->FlushBitmap(std::move(next));
-}
+void DatapathModel::FlushBitmap(Continuation next) { dev_->FlushBitmap(next); }
 
 void DatapathModel::FinishJob() { dev_->FinishJob(); }
 
 void DatapathModel::FailJob(Status st) { dev_->FailJob(std::move(st)); }
 
-void DatapathModel::ScheduleAtGuarded(sim::Tick t, std::function<void()> fn) {
-  dev_->ScheduleAtGuarded(t, std::move(fn));
+void DatapathModel::ReadBurstBytes(uint64_t burst_addr,
+                                   unsigned char* out) const {
+  dev_->dram_->backing_store().Read(burst_addr, out, kBurstBytes);
 }
 
-void DatapathModel::ScheduleAfterGuarded(sim::Tick delta,
-                                         std::function<void()> fn) {
-  dev_->ScheduleAfterGuarded(delta, std::move(fn));
-}
-
-int64_t DatapathModel::ReadValue(uint64_t addr) const {
-  return dev_->ReadValue(addr);
+int64_t DatapathModel::DecodeValue(const unsigned char* p) const {
+  if (dev_->config_.elem_bytes == 8) {
+    int64_t v;
+    std::memcpy(&v, p, 8);
+    return v;
+  }
+  int32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
 }
 
 uint64_t DatapathModel::Read64(uint64_t addr) const {

@@ -14,21 +14,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "dram/command.h"
 #include "dram/dram_system.h"
 #include "jafar/config.h"
+#include "jafar/device.h"
 #include "jafar/generation.h"
 #include "jafar/jobs.h"
 #include "sim/time.h"
 #include "util/stats_registry.h"
 
 namespace ndp::jafar {
-
-class Device;
-struct DeviceStats;
 
 /// \brief One device generation's scan datapath: sequencer + comparator
 /// timing. Constructed once per Device by MakeDatapathModel.
@@ -84,8 +81,12 @@ class DatapathModel {
   const SelectJob& select_job() const;
   const RowStoreJob& rowstore_job() const;
   const ProbeJob& probe_job() const;
-  /// Bloom membership of `key` against the preloaded probe SRAM.
-  bool EvalProbeKey(int64_t key) const;
+  /// Whether a column value passes the staged select or probe job: the
+  /// range comparator, or Bloom membership against the preloaded probe SRAM.
+  bool EvalColumnValue(int64_t v) const;
+  /// Whether the row-store tuple at `tuple_addr` passes every predicate
+  /// (one backing-store read per attribute: tuples may straddle bursts).
+  bool EvalTuple(uint64_t tuple_addr) const;
   uint64_t cursor_rows() const;
   void set_cursor_rows(uint64_t rows);
   sim::Tick engine_ready_at() const;
@@ -96,22 +97,23 @@ class DatapathModel {
   void AppendBit(bool set);
   uint64_t pending_bit_count() const;
 
-  // Shell sequencer primitives (epoch-guarded; see device.h).
-  void IssueWhenReady(dram::Command cmd, std::function<void(sim::Tick)> next,
-                      std::function<void()> on_stale = nullptr,
-                      bool defer_to_refresh = true);
-  void OpenRow(const dram::DramLocation& loc, std::function<void()> next);
-  void ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next);
-  void ReadBurstChain(uint64_t addr, uint64_t bursts,
-                      std::function<void(sim::Tick)> on_last_data);
-  void FlushBitmap(std::function<void()> next);
+  // Shell sequencer: command lanes (see Device::Lane). Lane 0 is shared
+  // with the shell's writeback path; SetLaneCount is for Attach only.
+  using Continuation = Device::Continuation;
+  Device::Lane& lane(uint32_t i = 0);
+  void SetLaneCount(uint32_t n);
+  void FlushBitmap(Continuation next);
   void FinishJob();
   void FailJob(Status st);
-  void ScheduleAtGuarded(sim::Tick t, std::function<void()> fn);
-  void ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn);
 
   // Functional reads against the backing store.
-  int64_t ReadValue(uint64_t addr) const;
+  static constexpr uint32_t kBurstBytes = 64;
+  /// Copies the 64 B burst at `burst_addr` out of the backing store.
+  void ReadBurstBytes(uint64_t burst_addr, unsigned char* out) const;
+  /// The column element at `p` inside a burst copy: a 64-bit word, or a
+  /// sign-extended 32-bit half when elem_bytes == 4. Select and probe
+  /// elements never straddle a burst (bases are 64 B aligned).
+  int64_t DecodeValue(const unsigned char* p) const;
   uint64_t Read64(uint64_t addr) const;
 
   // Fault-injection draws (no-ops when faults are compiled out or no

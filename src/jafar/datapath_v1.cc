@@ -8,14 +8,11 @@
 #include <algorithm>
 
 #include "jafar/datapath_impl.h"
-#include "jafar/device.h"  // DeviceStats definition (shell internals stay private)
 #include "sim/event_queue.h"
 
 namespace ndp::jafar {
 
 namespace {
-
-constexpr uint32_t kBurstBytes = 64;
 
 class V1RankIoDatapath final : public DatapathModel {
  public:
@@ -29,7 +26,12 @@ class V1RankIoDatapath final : public DatapathModel {
 
  private:
   void SelectStep();
+  void EvaluateBurst(sim::Tick data_done);
   void ContinueScanWhenEngineReady();
+
+  // The burst in flight, staged by SelectStep for EvaluateBurst.
+  uint64_t burst_addr_ = 0;
+  uint64_t rows_here_ = 0;
 };
 
 void V1RankIoDatapath::SelectStep() {
@@ -40,7 +42,7 @@ void V1RankIoDatapath::SelectStep() {
                                          : select_job().num_rows;
   if (cursor_rows() >= total_rows) {
     // Final (possibly partial) bitmap flush, then done.
-    FlushBitmap([this] { FinishJob(); });
+    FlushBitmap([this](sim::Tick) { FinishJob(); });
     return;
   }
   const uint32_t row_bytes =
@@ -56,60 +58,64 @@ void V1RankIoDatapath::SelectStep() {
   uint64_t first = cursor_rows();
   uint64_t last = std::min<uint64_t>(
       total_rows, (burst_end - base + row_bytes - 1) / row_bytes);
-  uint64_t rows_here = last > first ? last - first : 0;
+  burst_addr_ = burst_addr;
+  rows_here_ = last > first ? last - first : 0;
+  lane().ReadBurst(burst_addr,
+                   [this](sim::Tick data_done) { EvaluateBurst(data_done); });
+}
 
-  ReadBurst(burst_addr, [this, first, rows_here, is_rs, probe,
-                         base](sim::Tick data_done) {
-    if (DrawStallAtBurst()) {
-      // Sequencer stall mid-scan: the partial bitmap may already be in DRAM,
-      // but this burst's rows are never accumulated. The device stays busy
-      // with no pending events until the driver watchdog aborts it.
-      return;
-    }
-    // Functional evaluation against the backing store contents.
-    uint64_t matches_here = 0;
-    for (uint64_t r = first; r < first + rows_here; ++r) {
-      bool pass;
-      if (is_rs) {
-        pass = true;
-        for (const RowPredicate& p : rowstore_job().predicates) {
-          int64_t v = static_cast<int64_t>(
-              Read64(base + r * rowstore_job().tuple_bytes +
-                     p.attr_offset_bytes));
-          pass = pass && EvalCompare(p.op, v, p.range_low, p.range_high);
-        }
-      } else if (probe) {
-        pass = EvalProbeKey(ReadValue(base + r * config().elem_bytes));
-      } else {
-        int64_t v = ReadValue(base + r * config().elem_bytes);
-        pass = EvalCompare(select_job().op, v, select_job().range_low,
-                           select_job().range_high);
-      }
+void V1RankIoDatapath::EvaluateBurst(sim::Tick data_done) {
+  if (DrawStallAtBurst()) {
+    // Sequencer stall mid-scan: the partial bitmap may already be in DRAM,
+    // but this burst's rows are never accumulated. The device stays busy
+    // with no pending events until the driver watchdog aborts it.
+    return;
+  }
+  const bool probe = is_probe();
+  const uint64_t first = cursor_rows();
+  // Functional evaluation against the backing store contents. Column rows
+  // decode from one copy of the burst; row-store tuples may straddle bursts,
+  // so they read each predicate's attribute where it lies.
+  uint64_t matches_here = 0;
+  if (is_rowstore()) {
+    const RowStoreJob& job = rowstore_job();
+    for (uint64_t r = first; r < first + rows_here_; ++r) {
+      bool pass = EvalTuple(job.tuple_base + r * job.tuple_bytes);
       AppendBit(pass);
       if (pass) ++matches_here;
     }
-    add_matches(matches_here);
-    stats().rows_processed += rows_here;
-    set_cursor_rows(cursor_rows() + rows_here);
-
-    // Datapath timing: one word per II from the IO buffer. Probe jobs run
-    // the hash-lane kernel's (slower) schedule instead of the comparator's.
-    uint32_t words = kBurstBytes / 8;
-    sim::Tick start = std::max(data_done, engine_ready_at());
-    sim::Tick proc = probe ? config().ProbeBurstProcessingPs(words)
-                           : config().BurstProcessingPs(words);
-    set_engine_ready_at(start + proc);
-    stats().engine_busy_ps += proc;
-    stats().energy_fj += (probe ? config().probe_energy_per_word_fj
-                                : config().energy_per_word_fj) *
-                         words;
-
-    if (pending_bit_count() >= config().output_buffer_bits) {
-      FlushBitmap([this] { ContinueScanWhenEngineReady(); });
-    } else {
-      ContinueScanWhenEngineReady();
+  } else {
+    unsigned char burst[kBurstBytes];
+    ReadBurstBytes(burst_addr_, burst);
+    const uint64_t base = probe ? probe_job().col_base : select_job().col_base;
+    for (uint64_t r = first; r < first + rows_here_; ++r) {
+      uint64_t offset = base + r * config().elem_bytes - burst_addr_;
+      bool pass = EvalColumnValue(DecodeValue(burst + offset));
+      AppendBit(pass);
+      if (pass) ++matches_here;
     }
-  });
+  }
+  add_matches(matches_here);
+  stats().rows_processed += rows_here_;
+  set_cursor_rows(first + rows_here_);
+
+  // Datapath timing: one word per II from the IO buffer. Probe jobs run
+  // the hash-lane kernel's (slower) schedule instead of the comparator's.
+  uint32_t words = kBurstBytes / 8;
+  sim::Tick start = std::max(data_done, engine_ready_at());
+  sim::Tick proc = probe ? config().ProbeBurstProcessingPs(words)
+                         : config().BurstProcessingPs(words);
+  set_engine_ready_at(start + proc);
+  stats().engine_busy_ps += proc;
+  stats().energy_fj += (probe ? config().probe_energy_per_word_fj
+                              : config().energy_per_word_fj) *
+                       words;
+
+  if (pending_bit_count() >= config().output_buffer_bits) {
+    FlushBitmap([this](sim::Tick) { ContinueScanWhenEngineReady(); });
+  } else {
+    ContinueScanWhenEngineReady();
+  }
 }
 
 void V1RankIoDatapath::ContinueScanWhenEngineReady() {
@@ -120,7 +126,7 @@ void V1RankIoDatapath::ContinueScanWhenEngineReady() {
   sim::Tick earliest =
       engine_ready_at() > pipe_ps ? engine_ready_at() - pipe_ps : 0;
   if (earliest > eq()->Now()) {
-    ScheduleAtGuarded(earliest, [this] { SelectStep(); });
+    lane().ScheduleAt(earliest, [this](sim::Tick) { SelectStep(); });
   } else {
     SelectStep();
   }

@@ -22,19 +22,15 @@
 // headroom, so refresh is delayed by at most one wave, never livelocked.
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "jafar/datapath_impl.h"
-#include "jafar/device.h"  // DeviceStats definition (shell internals stay private)
 #include "sim/event_queue.h"
 #include "util/macros.h"
 
 namespace ndp::jafar {
 
 namespace {
-
-constexpr uint32_t kBurstBytes = 64;
 
 class V2BankLevelDatapath final : public DatapathModel {
  public:
@@ -52,6 +48,12 @@ class V2BankLevelDatapath final : public DatapathModel {
     // The config lives by value inside the Device shell, so the timing
     // block's address is stable for the device's lifetime.
     channel().SetBankFilterTiming(rank_index(), &config().bank_filter);
+    // One command lane and one segment slot per bank: a wave arms at most
+    // every bank once.
+    const uint32_t banks = dram().mapper().organization().banks_per_rank;
+    NDP_CHECK(banks <= 64);  // the wave's bank mask is one word
+    SetLaneCount(banks);
+    segs_.resize(banks);
     stats.Counter("filter_bursts", &filter_bursts_);
     stats.Counter("filter_segments", &filter_segments_);
     stats.Counter("bank_waves", &bank_waves_);
@@ -68,27 +70,43 @@ class V2BankLevelDatapath final : public DatapathModel {
   }
 
  private:
+  /// One row-sized slice of the scan, filtered by one bank on lane `i` of
+  /// the wave (segs_[i]).
   struct Segment {
-    uint64_t start = 0;  // first byte of the segment (within the scan range)
-    uint64_t end = 0;    // one past the last byte
+    uint64_t start = 0;        ///< first byte (within the scan range)
+    uint64_t end = 0;          ///< one past the last byte
+    dram::DramLocation loc;    ///< bank/row of the first burst
+    uint64_t first_burst = 0;  ///< address of the first burst
+    uint32_t idx = 0;          ///< next burst of the segment to read
+    uint32_t nbursts = 0;
   };
 
   uint64_t RowSizeBytes() { return dram().mapper().organization().row_size_bytes; }
 
   void StartWave();
-  void RunSegment(const Segment& seg);
-  void ArmSegment(dram::DramLocation loc, uint64_t first_burst,
-                  uint32_t nbursts);
-  void Reactivate(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
-                  uint32_t nbursts);
-  void ArmOrReopen(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
-                   uint32_t nbursts);
-  void ReadNext(dram::DramLocation loc, uint64_t first_burst, uint32_t idx,
-                uint32_t nbursts);
-  void DrainSegment(dram::DramLocation loc);
+  void RunSegment(uint32_t i);
+  void ArmSegment(uint32_t i);
+  void Reactivate(uint32_t i);
+  void ArmOrReopen(uint32_t i);
+  void ReadNext(uint32_t i);
+  void DrainSegment(uint32_t i);
   void OnSegmentDone();
-  bool EvalRow(uint64_t r) const;
   void EvalRange(uint64_t last);
+
+  /// Issues a `type` command for segment `i` on its bank's lane (RD targets
+  /// the segment's next burst). Mid-chain commands never defer to a refresh
+  /// steal-back (see the file comment).
+  void Issue(uint32_t i, dram::CommandType type, Continuation next,
+             Continuation on_stale = {}) {
+    const Segment& seg = segs_[i];
+    dram::Command cmd{type, rank_index(), seg.loc.bank};
+    if (type == dram::CommandType::kActivate) cmd.row = seg.loc.row;
+    if (type == dram::CommandType::kRead) {
+      cmd.row = seg.loc.row;
+      cmd.burst_col = seg.loc.burst_col + seg.idx;
+    }
+    lane(i).IssueWhenReady(cmd, next, on_stale, /*defer_to_refresh=*/false);
+  }
 
   // Scan state staged by BeginScan (one job at a time, like the shell).
   uint64_t base_ = 0;          ///< first byte of the scanned region
@@ -98,6 +116,7 @@ class V2BankLevelDatapath final : public DatapathModel {
   uint64_t next_seg_start_ = 0;  ///< first byte not yet assigned to a wave
   uint64_t wave_covered_end_ = 0;  ///< bytes filtered once this wave drains
   uint32_t wave_pending_ = 0;      ///< segments still in flight in this wave
+  std::vector<Segment> segs_;      ///< the wave's segments; sized in Attach
 
   // Generation-specific lifetime counters (registered in Attach, so a
   // v1 device's stats dump carries no trace of them).
@@ -121,7 +140,7 @@ void V2BankLevelDatapath::BeginScan() {
   wave_covered_end_ = base_;
   wave_pending_ = 0;
   if (total_rows_ == 0 || next_seg_start_ >= scan_end_) {
-    FlushBitmap([this] { FinishJob(); });
+    FlushBitmap([this](sim::Tick) { FinishJob(); });
     return;
   }
   StartWave();
@@ -132,15 +151,15 @@ void V2BankLevelDatapath::StartWave() {
   // so this is the one place the device can politely yield the rank.
   if (RefreshClaims()) {
     ++stats().refresh_backoffs;
-    ScheduleAfterGuarded(BusCycles(8), [this] { StartWave(); });
+    lane().ScheduleAt(eq()->Now() + BusCycles(8),
+                      [this](sim::Tick) { StartWave(); });
     return;
   }
   const uint64_t row_bytes = RowSizeBytes();
-  const uint32_t max_lanes = dram().mapper().organization().banks_per_rank;
-  std::vector<Segment> segs;
+  uint32_t n = 0;
   uint64_t pos = next_seg_start_;
   uint64_t bank_mask = 0;
-  while (segs.size() < max_lanes && pos < scan_end_) {
+  while (n < segs_.size() && pos < scan_end_) {
     uint64_t seg_end = std::min((pos / row_bytes + 1) * row_bytes, scan_end_);
     uint32_t bank = dram().mapper().Decode(pos).ValueOrDie().bank;
     // Consecutive row segments round-robin the banks, so <= banks_per_rank of
@@ -148,99 +167,70 @@ void V2BankLevelDatapath::StartWave() {
     NDP_CHECK_MSG((bank_mask & (uint64_t{1} << bank)) == 0,
                   "wave would arm the same bank twice");
     bank_mask |= uint64_t{1} << bank;
-    segs.push_back(Segment{pos, seg_end});
+    segs_[n].start = pos;
+    segs_[n].end = seg_end;
+    ++n;
     pos = seg_end;
   }
-  NDP_CHECK(!segs.empty());
+  NDP_CHECK(n > 0);
   ++bank_waves_;
   // Commit the wave extent before launching anything: chains may complete
   // through synchronous IssueWhenReady fast paths.
-  wave_pending_ = static_cast<uint32_t>(segs.size());
+  wave_pending_ = n;
   next_seg_start_ = pos;
   wave_covered_end_ = pos;
-  for (const Segment& seg : segs) RunSegment(seg);
+  for (uint32_t i = 0; i < n; ++i) RunSegment(i);
 }
 
-void V2BankLevelDatapath::RunSegment(const Segment& seg) {
-  const uint64_t first_burst = seg.start - seg.start % kBurstBytes;
+void V2BankLevelDatapath::RunSegment(uint32_t i) {
+  Segment& seg = segs_[i];
+  seg.first_burst = seg.start - seg.start % kBurstBytes;
   uint64_t last_burst = seg.end - 1;
   last_burst -= last_burst % kBurstBytes;
-  const uint32_t nbursts =
-      static_cast<uint32_t>((last_burst - first_burst) / kBurstBytes + 1);
-  dram::DramLocation loc = dram().mapper().Decode(first_burst).ValueOrDie();
-  ArmSegment(loc, first_burst, nbursts);
+  seg.nbursts =
+      static_cast<uint32_t>((last_burst - seg.first_burst) / kBurstBytes + 1);
+  seg.idx = 0;
+  seg.loc = dram().mapper().Decode(seg.first_burst).ValueOrDie();
+  ArmSegment(i);
 }
 
-void V2BankLevelDatapath::ArmSegment(dram::DramLocation loc,
-                                     uint64_t first_burst, uint32_t nbursts) {
+void V2BankLevelDatapath::ArmSegment(uint32_t i) {
   // ARM requires a closed bank (the comparator taps the sense amps across a
   // fresh activation). A leftover open row — host traffic in polite mode —
   // gets precharged first.
-  if (channel().rank(rank_index()).bank(loc.bank).has_open_row()) {
-    dram::Command pre{dram::CommandType::kPrecharge, rank_index(), loc.bank};
-    IssueWhenReady(
-        pre,
-        [this, loc, first_burst, nbursts](sim::Tick) {
-          ArmSegment(loc, first_burst, nbursts);
-        },
-        /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
+  if (channel().rank(rank_index()).bank(segs_[i].loc.bank).has_open_row()) {
+    Issue(i, dram::CommandType::kPrecharge,
+          [this, i](sim::Tick) { ArmSegment(i); });
     return;
   }
-  dram::Command arm{dram::CommandType::kBankArm, rank_index(), loc.bank};
-  IssueWhenReady(
-      arm,
-      [this, loc, first_burst, nbursts](sim::Tick) {
-        Reactivate(loc, first_burst, /*idx=*/0, nbursts);
-      },
-      /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
+  Issue(i, dram::CommandType::kBankArm,
+        [this, i](sim::Tick) { Reactivate(i); });
 }
 
-void V2BankLevelDatapath::Reactivate(dram::DramLocation loc,
-                                     uint64_t first_burst, uint32_t idx,
-                                     uint32_t nbursts) {
-  dram::Command act{dram::CommandType::kActivate, rank_index(), loc.bank,
-                    loc.row};
+void V2BankLevelDatapath::Reactivate(uint32_t i) {
   ++stats().activates;
-  IssueWhenReady(
-      act,
-      [this, loc, first_burst, idx, nbursts](sim::Tick) {
-        ReadNext(loc, first_burst, idx, nbursts);
-      },
-      /*on_stale=*/
-      [this, loc, first_burst, idx, nbursts] {
-        ArmOrReopen(loc, first_burst, idx, nbursts);
-      },
-      /*defer_to_refresh=*/false);
+  Issue(
+      i, dram::CommandType::kActivate, [this, i](sim::Tick) { ReadNext(i); },
+      /*on_stale=*/[this, i](sim::Tick) { ArmOrReopen(i); });
 }
 
 // A third party opened the bank between scheduling and issue (polite-mode
 // host traffic): close it and try the activation again. The forced PRE may
 // drain accumulated bits early; that splits one drain into two but changes
 // nothing functionally — the accumulator is drained bitwise-incrementally.
-void V2BankLevelDatapath::ArmOrReopen(dram::DramLocation loc,
-                                      uint64_t first_burst, uint32_t idx,
-                                      uint32_t nbursts) {
-  dram::Command pre{dram::CommandType::kPrecharge, rank_index(), loc.bank};
-  IssueWhenReady(
-      pre,
-      [this, loc, first_burst, idx, nbursts](sim::Tick) {
-        Reactivate(loc, first_burst, idx, nbursts);
-      },
-      /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
+void V2BankLevelDatapath::ArmOrReopen(uint32_t i) {
+  Issue(i, dram::CommandType::kPrecharge,
+        [this, i](sim::Tick) { Reactivate(i); });
 }
 
-void V2BankLevelDatapath::ReadNext(dram::DramLocation loc, uint64_t first_burst,
-                                   uint32_t idx, uint32_t nbursts) {
-  if (idx == nbursts) {
-    DrainSegment(loc);
+void V2BankLevelDatapath::ReadNext(uint32_t i) {
+  if (segs_[i].idx == segs_[i].nbursts) {
+    DrainSegment(i);
     return;
   }
-  dram::Command rd{dram::CommandType::kRead, rank_index(), loc.bank, loc.row,
-                   loc.burst_col + idx};
-  const uint64_t addr = first_burst + uint64_t{idx} * kBurstBytes;
-  IssueWhenReady(
-      rd,
-      [this, loc, first_burst, idx, nbursts, addr](sim::Tick) {
+  Issue(
+      i, dram::CommandType::kRead,
+      [this, i](sim::Tick) {
         if (DrawStallAtBurst()) {
           // Sequencer stall: the wave never completes and the driver
           // watchdog aborts the job (teardown disarms the banks).
@@ -251,7 +241,9 @@ void V2BankLevelDatapath::ReadNext(dram::DramLocation loc, uint64_t first_burst,
         // The comparator still waits the internal CAS latency for the burst
         // to reach it; it just never crosses the IO bus.
         stats().data_wait_ps += BusCycles(timing().cl);
-        if (!HandleReadFault(addr)) {
+        Segment& seg = segs_[i];
+        if (!HandleReadFault(seg.first_burst +
+                             uint64_t{seg.idx} * kBurstBytes)) {
           return;  // uncorrectable ECC: FailJob already ran
         }
         const uint32_t words = kBurstBytes / 8;
@@ -264,29 +256,19 @@ void V2BankLevelDatapath::ReadNext(dram::DramLocation loc, uint64_t first_burst,
         stats().energy_fj += (probe ? config().bank_probe_energy_per_word_fj
                                     : config().bank_energy_per_word_fj) *
                              words;
-        ReadNext(loc, first_burst, idx + 1, nbursts);
+        ++seg.idx;
+        ReadNext(i);
       },
-      /*on_stale=*/
-      [this, loc, first_burst, idx, nbursts] {
-        Reactivate(loc, first_burst, idx, nbursts);
-      },
-      /*defer_to_refresh=*/false);
+      /*on_stale=*/[this, i](sim::Tick) { Reactivate(i); });
 }
 
-void V2BankLevelDatapath::DrainSegment(dram::DramLocation loc) {
+void V2BankLevelDatapath::DrainSegment(uint32_t i) {
   // PRE on an armed bank with pending bits drains the accumulator over the
   // per-rank result bus (the DRAM model serializes concurrent drains).
-  dram::Command pre{dram::CommandType::kPrecharge, rank_index(), loc.bank};
-  IssueWhenReady(
-      pre,
-      [this, loc](sim::Tick) {
-        dram::Command dis{dram::CommandType::kBankDisarm, rank_index(),
-                          loc.bank};
-        IssueWhenReady(
-            dis, [this](sim::Tick) { OnSegmentDone(); },
-            /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
-      },
-      /*on_stale=*/nullptr, /*defer_to_refresh=*/false);
+  Issue(i, dram::CommandType::kPrecharge, [this, i](sim::Tick) {
+    Issue(i, dram::CommandType::kBankDisarm,
+          [this](sim::Tick) { OnSegmentDone(); });
+  });
 }
 
 void V2BankLevelDatapath::OnSegmentDone() {
@@ -302,25 +284,12 @@ void V2BankLevelDatapath::OnSegmentDone() {
   EvalRange(last);
 }
 
-bool V2BankLevelDatapath::EvalRow(uint64_t r) const {
-  if (is_probe()) {
-    return EvalProbeKey(ReadValue(base_ + r * config().elem_bytes));
-  }
-  if (is_rowstore()) {
-    bool pass = true;
-    for (const RowPredicate& p : rowstore_job().predicates) {
-      int64_t v = static_cast<int64_t>(
-          Read64(base_ + r * rowstore_job().tuple_bytes + p.attr_offset_bytes));
-      pass = pass && EvalCompare(p.op, v, p.range_low, p.range_high);
-    }
-    return pass;
-  }
-  int64_t v = ReadValue(base_ + r * config().elem_bytes);
-  return EvalCompare(select_job().op, v, select_job().range_low,
-                     select_job().range_high);
-}
-
 void V2BankLevelDatapath::EvalRange(uint64_t last) {
+  // Column rows decode from one copy of each burst; row-store tuples may
+  // straddle bursts, so they read each predicate's attribute where it lies.
+  const bool is_rs = is_rowstore();
+  unsigned char burst[kBurstBytes];
+  uint64_t burst_addr = ~uint64_t{0};  // no burst copied yet
   uint64_t r = cursor_rows();
   uint64_t matches_here = 0;
   while (r < last) {
@@ -331,10 +300,20 @@ void V2BankLevelDatapath::EvalRange(uint64_t last) {
       add_matches(matches_here);
       stats().rows_processed += r - cursor_rows();
       set_cursor_rows(r);
-      FlushBitmap([this, last] { EvalRange(last); });
+      FlushBitmap([this, last](sim::Tick) { EvalRange(last); });
       return;
     }
-    bool pass = EvalRow(r);
+    const uint64_t addr = base_ + r * stride_bytes_;
+    bool pass;
+    if (is_rs) {
+      pass = EvalTuple(addr);
+    } else {
+      if (addr - addr % kBurstBytes != burst_addr) {
+        burst_addr = addr - addr % kBurstBytes;
+        ReadBurstBytes(burst_addr, burst);
+      }
+      pass = EvalColumnValue(DecodeValue(burst + (addr - burst_addr)));
+    }
     AppendBit(pass);
     if (pass) ++matches_here;
     ++r;
@@ -345,7 +324,7 @@ void V2BankLevelDatapath::EvalRange(uint64_t last) {
   if (next_seg_start_ < scan_end_) {
     StartWave();
   } else {
-    FlushBitmap([this] { FinishJob(); });
+    FlushBitmap([this](sim::Tick) { FinishJob(); });
   }
 }
 

@@ -44,19 +44,30 @@ Device::Device(dram::DramSystem* dram, uint32_t channel_index,
   stats.Counter("energy_fj", &stats_.energy_fj);
   stats.Counter("polite_backoffs", &stats_.polite_backoffs);
   stats.Counter("refresh_backoffs", &stats_.refresh_backoffs);
+  SetLaneCount(1);
   datapath_ = MakeDatapathModel(config_.generation, this);
   datapath_->Attach(stats);
 }
 
-Device::~Device() = default;
+// Lanes are intrusive event nodes: none may stay scheduled past its owner.
+Device::~Device() { CancelLanes(); }
 
-int64_t Device::ReadValue(uint64_t addr) const {
-  if (config_.elem_bytes == 8) {
-    return static_cast<int64_t>(dram_->backing_store().Read64(addr));
+Device::Lane& Device::lane(uint32_t i) {
+  NDP_CHECK(i < num_lanes_);
+  return lanes_[i];
+}
+
+void Device::SetLaneCount(uint32_t n) {
+  NDP_CHECK(n > 0 && !busy_);
+  lanes_ = std::make_unique<Lane[]>(n);
+  num_lanes_ = n;
+  for (uint32_t i = 0; i < n; ++i) lanes_[i].dev_ = this;
+}
+
+void Device::CancelLanes() {
+  for (uint32_t i = 0; i < num_lanes_; ++i) {
+    if (lanes_[i].scheduled()) eq_->Cancel(&lanes_[i]);
   }
-  int32_t v;
-  dram_->backing_store().Read(addr, &v, 4);
-  return v;
 }
 
 Status Device::CheckRange(uint64_t base, uint64_t len) const {
@@ -91,27 +102,15 @@ Status Device::CheckIdleAndOwned() const {
 // ---------------------------------------------------------------------------
 // Fault handling & recovery
 
-void Device::ScheduleAtGuarded(sim::Tick t, std::function<void()> fn) {
-  uint64_t epoch = job_epoch_;
-  eq_->ScheduleAt(t, [this, epoch, fn = std::move(fn)] {
-    if (epoch == job_epoch_) fn();
-  });
-}
-
-void Device::ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn) {
-  ScheduleAtGuarded(eq_->Now() + delta, std::move(fn));
-}
-
-void Device::AbortJob() {
-  if (!busy_) return;  // completion won the race against the watchdog
+void Device::EndJob() {
   datapath_->OnJobTeardown();  // release generation-held DRAM state
   if (probe_.has_value()) {
-    // The abort may land mid filter-load; close the shadow window (idempotent).
+    // The job may end mid filter-load; close the shadow window (idempotent).
     channel().NoteProbeFilterLoadDone(rank_index_);
   }
-  ++job_epoch_;        // strand every in-flight sequencer event
+  CancelLanes();
+  ++job_epoch_;
   stats_.total_busy_ps += eq_->Now();  // settle the negative start stamp
-  ++stats_.jobs_failed;
   busy_ = false;
   select_.reset();
   aggregate_.reset();
@@ -120,32 +119,24 @@ void Device::AbortJob() {
   sort_.reset();
   groupby_.reset();
   probe_.reset();
+}
+
+void Device::AbortJob() {
+  if (!busy_) return;  // completion won the race against the watchdog
+  EndJob();
+  ++stats_.jobs_failed;
   on_done_ = nullptr;  // the aborting driver already gave up on this callback
   last_job_status_ = Status::Internal("job aborted by driver reset");
 }
 
 void Device::FailJob(Status st) {
   NDP_CHECK(busy_);
-  datapath_->OnJobTeardown();
-  if (probe_.has_value()) {
-    channel().NoteProbeFilterLoadDone(rank_index_);
-  }
-  ++job_epoch_;
-  sim::Tick now = eq_->Now();
-  stats_.total_busy_ps += now;
+  EndJob();
   ++stats_.jobs_failed;
-  busy_ = false;
-  select_.reset();
-  aggregate_.reset();
-  project_.reset();
-  rowstore_.reset();
-  sort_.reset();
-  groupby_.reset();
-  probe_.reset();
   last_job_status_ = std::move(st);
   auto cb = std::move(on_done_);
   on_done_ = nullptr;
-  if (cb) cb(now);
+  if (cb) cb(eq_->Now());
 }
 
 bool Device::MaybeInjectHang() {
@@ -196,22 +187,54 @@ bool Device::HandleReadFault(uint64_t burst_addr) {
 }
 
 // ---------------------------------------------------------------------------
-// Sequencer
+// Sequencer: command lanes
 
-void Device::IssueWhenReady(dram::Command cmd,
-                            std::function<void(sim::Tick)> next,
-                            std::function<void()> on_stale,
-                            bool defer_to_refresh) {
+// ndp-lint: no-alloc-begin (lane issue path: runs once per DRAM command)
+
+void Device::Lane::Arm(sim::Tick t) {
+  epoch_ = dev_->job_epoch_;
+  dev_->eq_->Schedule(t, this);
+}
+
+void Device::Lane::Fire() {
+  NDP_CHECK_MSG(epoch_ == dev_->job_epoch_, "a lane fired after its job ended");
+  if (!timed_step_) {
+    // Conditions may have shifted since the lane was armed (other-rank
+    // traffic on the shared command bus, host activity in polite mode):
+    // re-evaluate from the top.
+    TryIssue();
+    return;
+  }
+  Continuation step = next_;
+  step(when());
+}
+
+void Device::Lane::ScheduleAt(sim::Tick t, Continuation step) {
+  timed_step_ = true;
+  next_ = step;
+  Arm(t);
+}
+
+void Device::Lane::IssueWhenReady(const dram::Command& cmd, Continuation next,
+                                  Continuation on_stale,
+                                  bool defer_to_refresh) {
+  timed_step_ = false;
+  cmd_ = cmd;
+  next_ = next;
+  on_stale_ = on_stale;
+  defer_to_refresh_ = defer_to_refresh;
+  TryIssue();
+}
+
+void Device::Lane::TryIssue() {
+  Device& d = *dev_;
+  sim::Tick now = d.eq_->Now();
   // In polite (no-scheduler) mode, JAFAR may only use the channel while the
   // host memory controller is idle (§3.3).
-  if (!config_.require_ownership &&
-      dram_->controller(channel_index_).HasPendingWork()) {
-    ++stats_.polite_backoffs;
-    ScheduleAfterGuarded(
-        BusCycles(8),
-        [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-          IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-        });
+  if (!d.config_.require_ownership &&
+      d.dram_->controller(d.channel_index_).HasPendingWork()) {
+    ++d.stats_.polite_backoffs;
+    Arm(now + d.BusCycles(8));
     return;
   }
   // Refresh outranks rank ownership: when the host controller is stealing the
@@ -222,125 +245,125 @@ void Device::IssueWhenReady(dram::Command cmd,
   // the controller cannot interrupt anyway (v2 holds armed banks REF must
   // wait out) pass defer_to_refresh=false and yield at their own barriers —
   // deferring here would deadlock against the controller's armed-bank wait.
-  if (defer_to_refresh &&
-      dram_->controller(channel_index_).RefreshClaims(rank_index_)) {
-    ++stats_.refresh_backoffs;
-    ScheduleAfterGuarded(
-        BusCycles(8),
-        [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-          IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-        });
+  if (defer_to_refresh_ &&
+      d.dram_->controller(d.channel_index_).RefreshClaims(d.rank_index_)) {
+    ++d.stats_.refresh_backoffs;
+    Arm(now + d.BusCycles(8));
     return;
   }
   // Bank-state validity may have changed between scheduling and issue when a
   // third party shares the rank (host refresh or traffic in polite mode):
   // column commands need their row open, ACT needs the bank closed.
-  if (cmd.type == dram::CommandType::kRead ||
-      cmd.type == dram::CommandType::kWrite) {
-    const dram::Bank& bank = channel().rank(rank_index_).bank(cmd.bank);
-    if (!bank.has_open_row() || bank.open_row() != cmd.row) {
-      NDP_CHECK_MSG(on_stale != nullptr, "row closed under exclusive access");
-      on_stale();
-      return;
-    }
-  } else if (cmd.type == dram::CommandType::kActivate) {
-    const dram::Bank& bank = channel().rank(rank_index_).bank(cmd.bank);
-    if (bank.has_open_row()) {
-      NDP_CHECK_MSG(on_stale != nullptr, "bank opened under exclusive access");
-      on_stale();
-      return;
-    }
+  const dram::Bank& bank = d.channel().rank(d.rank_index_).bank(cmd_.bank);
+  bool stale = false;
+  if (cmd_.type == dram::CommandType::kRead ||
+      cmd_.type == dram::CommandType::kWrite) {
+    stale = !bank.has_open_row() || bank.open_row() != cmd_.row;
+  } else if (cmd_.type == dram::CommandType::kActivate) {
+    stale = bank.has_open_row();
   }
-  sim::ClockDomain bus = channel().bus_clock();
-  sim::Tick t = std::max(channel().EarliestIssue(cmd),
-                         bus.NextEdgeAtOrAfter(eq_->Now()));
-  if (t == eq_->Now()) {
-    auto done = channel().Issue(cmd, t);
-    NDP_CHECK_MSG(done.ok(), done.status().ToString().c_str());
-    next(done.value());
+  if (stale) {
+    NDP_CHECK_MSG(on_stale_, "bank state changed under exclusive access");
+    Continuation retry = on_stale_;
+    retry(now);
     return;
   }
-  ScheduleAtGuarded(
-      t, [this, cmd, next = std::move(next), on_stale, defer_to_refresh] {
-        // Conditions may have shifted (other-rank traffic on the shared
-        // command bus, host activity in polite mode): re-evaluate.
-        IssueWhenReady(cmd, next, on_stale, defer_to_refresh);
-      });
+  sim::ClockDomain bus = d.channel().bus_clock();
+  sim::Tick t = std::max(d.channel().EarliestIssue(cmd_),
+                         bus.NextEdgeAtOrAfter(now));
+  if (t != now) {
+    Arm(t);
+    return;
+  }
+  auto done = d.channel().Issue(cmd_, t);
+  NDP_CHECK_MSG(done.ok(), done.status().ToString().c_str());
+  Continuation next = next_;
+  next(done.value());
 }
 
-void Device::OpenRow(const dram::DramLocation& loc, std::function<void()> next) {
-  dram::Bank& bank = channel().rank(rank_index_).bank(loc.bank);
-  if (bank.has_open_row() && bank.open_row() == loc.row) {
-    next();
+void Device::Lane::ReadBurstChain(uint64_t addr, uint64_t bursts,
+                                  Continuation next) {
+  NDP_CHECK(bursts > 0);
+  write_ = false;
+  burst_addr_ = addr;
+  bursts_left_ = bursts;
+  chain_done_ = next;
+  StartBurst();
+}
+
+void Device::Lane::WriteBurstChain(uint64_t addr, uint64_t bursts,
+                                   Continuation next) {
+  if (bursts == 0) {
+    next(dev_->eq_->Now());
+    return;
+  }
+  write_ = true;
+  burst_addr_ = addr;
+  bursts_left_ = bursts;
+  chain_done_ = next;
+  StartBurst();
+}
+
+void Device::Lane::StartBurst() {
+  loc_ = dev_->dram_->mapper().Decode(burst_addr_).ValueOrDie();
+  OpenRow();
+}
+
+// Ensures loc_'s bank has loc_.row open (PRE/ACT as needed), then issues the
+// burst's column command. Also the retry target when a third party closes the
+// row (or opens the bank) under the chain.
+void Device::Lane::OpenRow() {
+  Device& d = *dev_;
+  const dram::Bank& bank = d.channel().rank(d.rank_index_).bank(loc_.bank);
+  if (bank.has_open_row() && bank.open_row() == loc_.row) {
+    IssueColumn();
     return;
   }
   if (bank.has_open_row()) {
-    dram::Command pre{dram::CommandType::kPrecharge, rank_index_, loc.bank};
-    IssueWhenReady(pre, [this, loc, next = std::move(next)](sim::Tick) {
-      OpenRow(loc, next);
-    });
+    dram::Command pre{dram::CommandType::kPrecharge, d.rank_index_, loc_.bank};
+    IssueWhenReady(pre, [this](sim::Tick) { OpenRow(); });
     return;
   }
-  dram::Command act{dram::CommandType::kActivate, rank_index_, loc.bank,
-                    loc.row};
-  ++stats_.activates;
-  auto retry = [this, loc, next]() { OpenRow(loc, next); };
-  IssueWhenReady(act, [next = std::move(next)](sim::Tick) { next(); },
-                 /*on_stale=*/retry);
+  dram::Command act{dram::CommandType::kActivate, d.rank_index_, loc_.bank,
+                    loc_.row};
+  ++d.stats_.activates;
+  IssueWhenReady(
+      act, [this](sim::Tick) { IssueColumn(); },
+      /*on_stale=*/[this](sim::Tick) { OpenRow(); });
 }
 
-void Device::ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
-  auto loc = dram_->mapper().Decode(addr).ValueOrDie();
-  auto attempt = std::make_shared<std::function<void()>>();
-  // The stored function holds only a weak self-reference (a strong capture
-  // would be a shared_ptr cycle that leaks the whole continuation chain);
-  // each invocation re-locks, and the in-flight DRAM callbacks below hold
-  // the strong references that keep retry alive while the burst is pending.
-  std::weak_ptr<std::function<void()>> weak = attempt;
-  *attempt = [this, loc, addr, next = std::move(next), weak]() {
-    auto self = weak.lock();
-    OpenRow(loc, [this, loc, addr, next, self]() {
-      dram::Command rd{dram::CommandType::kRead, rank_index_, loc.bank,
-                       loc.row, loc.burst_col};
-      IssueWhenReady(
-          rd,
-          [this, addr, next](sim::Tick done) {
-            ++stats_.bursts_read;
-            stats_.data_wait_ps += BusCycles(timing().cl);
+void Device::Lane::IssueColumn() {
+  dram::Command col{
+      write_ ? dram::CommandType::kWrite : dram::CommandType::kRead,
+      dev_->rank_index_, loc_.bank, loc_.row, loc_.burst_col};
+  IssueWhenReady(
+      col, [this](sim::Tick done) { OnBurstDone(done); },
+      /*on_stale=*/[this](sim::Tick) { OpenRow(); });
+}
+
+void Device::Lane::OnBurstDone(sim::Tick done) {
+  Device& d = *dev_;
+  if (write_) {
+    ++d.stats_.bursts_written;
+  } else {
+    ++d.stats_.bursts_read;
+    d.stats_.data_wait_ps += d.BusCycles(d.timing().cl);
 #ifdef NDP_FAULT_INJECT
-            if (injector_ != nullptr && !HandleReadFault(addr)) {
-              return;  // uncorrectable ECC: FailJob already ran
-            }
+    if (d.injector_ != nullptr && !d.HandleReadFault(burst_addr_)) {
+      return;  // uncorrectable ECC: FailJob already ran
+    }
 #endif
-            next(done);
-          },
-          /*on_stale=*/[self] { (*self)(); });
-    });
-  };
-  (*attempt)();
+  }
+  if (--bursts_left_ > 0) {
+    burst_addr_ += kBurstBytes;
+    StartBurst();
+    return;
+  }
+  Continuation next = chain_done_;
+  next(done);
 }
 
-void Device::WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next) {
-  auto loc = dram_->mapper().Decode(addr).ValueOrDie();
-  auto attempt = std::make_shared<std::function<void()>>();
-  // Weak self-reference for the same cycle-avoidance reason as ReadBurst.
-  std::weak_ptr<std::function<void()>> weak = attempt;
-  *attempt = [this, loc, next = std::move(next), weak]() {
-    auto self = weak.lock();
-    OpenRow(loc, [this, loc, next, self]() {
-      dram::Command wr{dram::CommandType::kWrite, rank_index_, loc.bank,
-                       loc.row, loc.burst_col};
-      IssueWhenReady(
-          wr,
-          [this, next](sim::Tick done) {
-            ++stats_.bursts_written;
-            next(done);
-          },
-          /*on_stale=*/[self] { (*self)(); });
-    });
-  };
-  (*attempt)();
-}
+// ndp-lint: no-alloc-end
 
 // ---------------------------------------------------------------------------
 // Select / row-store
@@ -367,9 +390,9 @@ Status Device::StartSelect(const SelectJob& job,
   last_result_checksum_ = kChecksumInit;
   stats_.total_busy_ps -= eq_->Now();  // settled in FinishJob
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginScan(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { datapath_->BeginScan(); });
   return Status::OK();
 }
 
@@ -406,9 +429,9 @@ Status Device::StartRowStore(const RowStoreJob& job,
   last_result_checksum_ = kChecksumInit;
   stats_.total_busy_ps -= eq_->Now();
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginScan(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { datapath_->BeginScan(); });
   return Status::OK();
 }
 
@@ -454,9 +477,9 @@ Status Device::StartProbe(const ProbeJob& job,
   if (MaybeInjectHang()) return Status::OK();
   // BeginProbe (datapath base, generation-neutral) streams the Bloom image
   // into the probe SRAM before handing over to the generation's scan loop.
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { datapath_->BeginProbe(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { datapath_->BeginProbe(); });
   return Status::OK();
 }
 
@@ -482,15 +505,15 @@ void Device::ContinueWhenEngineReady(void (Device::*step)()) {
   sim::Tick earliest =
       engine_ready_at_ > pipe_ps ? engine_ready_at_ - pipe_ps : 0;
   if (earliest > eq_->Now()) {
-    ScheduleAtGuarded(earliest, [this, step] { (this->*step)(); });
+    lane().ScheduleAt(earliest, [this, step](sim::Tick) { (this->*step)(); });
   } else {
     (this->*step)();
   }
 }
 
-void Device::FlushBitmap(std::function<void()> next) {
+void Device::FlushBitmap(Continuation next) {
   if (pending_bit_count_ == 0) {
-    next();
+    next(eq_->Now());
     return;
   }
   uint64_t out_base;
@@ -548,34 +571,13 @@ void Device::FlushBitmap(std::function<void()> next) {
   bitmap_write_cursor_ += bytes;
   pending_bits_.ClearAll();
   pending_bit_count_ = 0;
-  WriteBurstChain(addr - addr % kBurstBytes, bursts, std::move(next));
-}
-
-void Device::WriteBurstChain(uint64_t addr, uint64_t bursts,
-                             std::function<void()> next) {
-  if (bursts == 0) {
-    next();
-    return;
-  }
-  WriteBurst(addr, [this, addr, bursts, next = std::move(next)](sim::Tick) {
-    WriteBurstChain(addr + kBurstBytes, bursts - 1, next);
-  });
+  lane().WriteBurstChain(addr - addr % kBurstBytes, bursts, next);
 }
 
 void Device::FinishJob() {
   sim::Tick now = eq_->Now();
-  datapath_->OnJobTeardown();  // no-op after a clean drain; keeps the invariant
-  ++job_epoch_;  // hygiene: no continuation of this job may fire after done
-  stats_.total_busy_ps += now;
+  EndJob();  // after a clean drain no lane is armed; teardown keeps invariants
   ++stats_.jobs_completed;
-  busy_ = false;
-  select_.reset();
-  aggregate_.reset();
-  project_.reset();
-  rowstore_.reset();
-  sort_.reset();
-  groupby_.reset();
-  probe_.reset();
   auto cb = std::move(on_done_);
   on_done_ = nullptr;
 #ifdef NDP_FAULT_INJECT
@@ -610,23 +612,10 @@ Status Device::StartSort(const SortJob& job,
   last_job_status_ = Status::OK();
   stats_.total_busy_ps -= eq_->Now();
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { SortStep(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { SortStep(); });
   return Status::OK();
-}
-
-void Device::ReadBurstChain(uint64_t addr, uint64_t bursts,
-                            std::function<void(sim::Tick)> on_last_data) {
-  NDP_CHECK(bursts > 0);
-  ReadBurst(addr, [this, addr, bursts,
-                   on_last_data = std::move(on_last_data)](sim::Tick done) {
-    if (bursts == 1) {
-      on_last_data(done);
-    } else {
-      ReadBurstChain(addr + kBurstBytes, bursts - 1, on_last_data);
-    }
-  });
 }
 
 void Device::SortStep() {
@@ -637,42 +626,46 @@ void Device::SortStep() {
   }
   uint64_t block_rows = std::min<uint64_t>(config_.sort_block_elems,
                                            job.num_rows - cursor_rows_);
+  uint64_t bursts = (block_rows * 8 + kBurstBytes - 1) / kBurstBytes;
+  // 1. Stream the block into device SRAM.
+  lane().ReadBurstChain(job.col_base + cursor_rows_ * 8, bursts,
+                        [this, block_rows](sim::Tick last_data) {
+                          SortBlock(block_rows, last_data);
+                        });
+}
+
+void Device::SortBlock(uint64_t block_rows, sim::Tick last_data) {
+  const SortJob& job = *sort_;
   uint64_t in_addr = job.col_base + cursor_rows_ * 8;
   uint64_t out_addr = job.out_base + cursor_rows_ * 8;
   uint64_t bursts = (block_rows * 8 + kBurstBytes - 1) / kBurstBytes;
-  // 1. Stream the block into device SRAM.
-  ReadBurstChain(in_addr, bursts, [this, block_rows, in_addr, out_addr,
-                                   bursts](sim::Tick last_data) {
-    // 2. Run the bitonic network (functional model: an exact sort of the
-    //    block; timing: the network's stage count on the comparator array).
-    std::vector<int64_t> block(block_rows);
-    dram_->backing_store().Read(in_addr, block.data(), block_rows * 8);
-    if (sort_->descending) {
-      std::sort(block.begin(), block.end(), std::greater<int64_t>());
-    } else {
-      std::sort(block.begin(), block.end());
-    }
-    dram_->backing_store().Write(out_addr, block.data(), block_rows * 8);
+  // 2. Run the bitonic network (functional model: an exact sort of the
+  //    block; timing: the network's stage count on the comparator array).
+  std::vector<int64_t> block(block_rows);
+  dram_->backing_store().Read(in_addr, block.data(), block_rows * 8);
+  if (job.descending) {
+    std::sort(block.begin(), block.end(), std::greater<int64_t>());
+  } else {
+    std::sort(block.begin(), block.end());
+  }
+  dram_->backing_store().Write(out_addr, block.data(), block_rows * 8);
 
-    uint64_t sort_cycles =
-        config_.SortBlockCycles(static_cast<uint32_t>(block_rows));
-    sim::Tick start = std::max(last_data, engine_ready_at_);
-    sim::Tick proc = sort_cycles * config_.clock.period_ps();
-    engine_ready_at_ = start + proc;
-    stats_.engine_busy_ps += proc;
-    stats_.rows_processed += block_rows;
-    stats_.energy_fj +=
-        config_.energy_per_word_fj * static_cast<double>(block_rows);
+  uint64_t sort_cycles =
+      config_.SortBlockCycles(static_cast<uint32_t>(block_rows));
+  sim::Tick start = std::max(last_data, engine_ready_at_);
+  sim::Tick proc = sort_cycles * config_.clock.period_ps();
+  engine_ready_at_ = start + proc;
+  stats_.engine_busy_ps += proc;
+  stats_.rows_processed += block_rows;
+  stats_.energy_fj +=
+      config_.energy_per_word_fj * static_cast<double>(block_rows);
 
-    cursor_rows_ += block_rows;
-    // 3. Write the sorted run back once the network finishes, then continue
-    //    with the next block.
-    sim::Tick when = engine_ready_at_;
-    uint64_t out_bursts = bursts;
-    uint64_t out_base_addr = out_addr;
-    ScheduleAtGuarded(when, [this, out_base_addr, out_bursts] {
-      WriteBurstChain(out_base_addr, out_bursts, [this] { SortStep(); });
-    });
+  cursor_rows_ += block_rows;
+  // 3. Write the sorted run back once the network finishes, then continue
+  //    with the next block.
+  lane().ScheduleAt(engine_ready_at_, [this, out_addr, bursts](sim::Tick) {
+    lane().WriteBurstChain(out_addr, bursts,
+                           [this](sim::Tick) { SortStep(); });
   });
 }
 
@@ -707,9 +700,9 @@ Status Device::StartAggregate(const AggregateJob& job,
   last_job_status_ = Status::OK();
   stats_.total_busy_ps -= eq_->Now();
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { AggregateStep(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { AggregateStep(); });
   return Status::OK();
 }
 
@@ -718,59 +711,54 @@ void Device::AggregateStep() {
   if (cursor_rows_ >= job.num_rows) {
     dram_->backing_store().Write64(job.out_addr,
                                    static_cast<uint64_t>(agg_acc_));
-    WriteBurstChain(job.out_addr - job.out_addr % kBurstBytes, 1,
-                    [this] { FinishJob(); });
+    lane().WriteBurstChain(job.out_addr - job.out_addr % kBurstBytes, 1,
+                           [this](sim::Tick) { FinishJob(); });
     return;
   }
   // One bitmap burst covers 512 rows; fetch it lazily when filtering.
-  bool need_bitmap =
-      job.bitmap_base != 0 && cursor_rows_ % kBitsPerBurst == 0;
-  auto process_col_burst = [this]() {
-    const AggregateJob& j = *aggregate_;
-    uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
-    burst_addr -= burst_addr % kBurstBytes;
-    ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const AggregateJob& jb = *aggregate_;
-      uint64_t rows_here = std::min<uint64_t>(
-          kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
-      for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
-        if (jb.bitmap_base != 0) {
-          uint64_t word = dram_->backing_store().Read64(
-              jb.bitmap_base + (r / 64) * 8);
-          if (((word >> (r % 64)) & 1) == 0) continue;
-        }
-        int64_t v = static_cast<int64_t>(
-            dram_->backing_store().Read64(jb.col_base + r * config_.elem_bytes));
-        switch (jb.kind) {
-          case AggKind::kSum: agg_acc_ += v; break;
-          case AggKind::kCount: agg_acc_ += 1; break;
-          case AggKind::kMin: agg_acc_ = std::min(agg_acc_, v); break;
-          case AggKind::kMax: agg_acc_ = std::max(agg_acc_, v); break;
-        }
-        ++stats_.matches;
-      }
-      stats_.rows_processed += rows_here;
-      cursor_rows_ += rows_here;
-      uint32_t words = kBurstBytes / 8;
-      sim::Tick start = std::max(data_done, engine_ready_at_);
-      sim::Tick proc = config_.BurstProcessingPs(words);
-      engine_ready_at_ = start + proc;
-      stats_.engine_busy_ps += proc;
-      stats_.energy_fj += config_.energy_per_word_fj * words;
-      ContinueAggregateWhenEngineReady();
-    });
-  };
-  if (need_bitmap) {
+  if (job.bitmap_base != 0 && cursor_rows_ % kBitsPerBurst == 0) {
     uint64_t bm_addr = job.bitmap_base + (cursor_rows_ / 8);
     bm_addr -= bm_addr % kBurstBytes;
-    ReadBurst(bm_addr, [process_col_burst](sim::Tick) { process_col_burst(); });
+    lane().ReadBurst(bm_addr, [this](sim::Tick) { ReadAggregateColumn(); });
   } else {
-    process_col_burst();
+    ReadAggregateColumn();
   }
 }
 
-void Device::ContinueAggregateWhenEngineReady() {
-  ContinueWhenEngineReady(&Device::AggregateStep);
+void Device::ReadAggregateColumn() {
+  const AggregateJob& j = *aggregate_;
+  uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
+  burst_addr -= burst_addr % kBurstBytes;
+  lane().ReadBurst(burst_addr, [this](sim::Tick data_done) {
+    const AggregateJob& jb = *aggregate_;
+    uint64_t rows_here = std::min<uint64_t>(
+        kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
+    for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
+      if (jb.bitmap_base != 0) {
+        uint64_t word = dram_->backing_store().Read64(
+            jb.bitmap_base + (r / 64) * 8);
+        if (((word >> (r % 64)) & 1) == 0) continue;
+      }
+      int64_t v = static_cast<int64_t>(
+          dram_->backing_store().Read64(jb.col_base + r * config_.elem_bytes));
+      switch (jb.kind) {
+        case AggKind::kSum: agg_acc_ += v; break;
+        case AggKind::kCount: agg_acc_ += 1; break;
+        case AggKind::kMin: agg_acc_ = std::min(agg_acc_, v); break;
+        case AggKind::kMax: agg_acc_ = std::max(agg_acc_, v); break;
+      }
+      ++stats_.matches;
+    }
+    stats_.rows_processed += rows_here;
+    cursor_rows_ += rows_here;
+    uint32_t words = kBurstBytes / 8;
+    sim::Tick start = std::max(data_done, engine_ready_at_);
+    sim::Tick proc = config_.BurstProcessingPs(words);
+    engine_ready_at_ = start + proc;
+    stats_.engine_busy_ps += proc;
+    stats_.energy_fj += config_.energy_per_word_fj * words;
+    ContinueWhenEngineReady(&Device::AggregateStep);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -813,9 +801,9 @@ Status Device::StartGroupBy(const GroupByJob& job,
   last_job_status_ = Status::OK();
   stats_.total_busy_ps -= eq_->Now();
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { GroupByStep(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { GroupByStep(); });
   return Status::OK();
 }
 
@@ -832,7 +820,8 @@ void Device::GroupByStep() {
     }
     uint64_t bursts =
         (config_.groupby_buckets * 16 + kBurstBytes - 1) / kBurstBytes;
-    WriteBurstChain(job.out_base, bursts, [this] { FinishJob(); });
+    lane().WriteBurstChain(job.out_base, bursts,
+                           [this](sim::Tick) { FinishJob(); });
     return;
   }
   // Stream the two columns in DRAM-row-sized chunks (8 KB = 1024 values):
@@ -841,34 +830,39 @@ void Device::GroupByStep() {
   // precharge/activate pair per burst. Whole-row chunks amortize the row
   // switch across 128 bursts — the device's SRAM double-buffers one row of
   // keys against one row of values.
-  uint64_t chunk_rows = std::min<uint64_t>(1024, job.num_rows - cursor_rows_);
-  uint64_t bursts = (chunk_rows * 8 + kBurstBytes - 1) / kBurstBytes;
-  uint64_t key_addr = job.key_base + cursor_rows_ * 8;
-  uint64_t val_addr = job.val_base + cursor_rows_ * 8;
-  auto read_columns = [this, key_addr, val_addr, bursts, chunk_rows]() {
-    ReadBurstChain(key_addr, bursts, [this, val_addr, bursts,
-                                      chunk_rows](sim::Tick) {
-      ReadBurstChain(val_addr, bursts, [this,
-                                        chunk_rows](sim::Tick data_done) {
-        ProcessGroupByChunk(chunk_rows, data_done);
-      });
-    });
-  };
+  uint64_t chunk_rows = GroupByChunkRows();
   if (job.bitmap_base != 0) {
     // One bitmap burst covers 512 rows; fetch the chunk's slice first.
     uint64_t bm_addr = job.bitmap_base + cursor_rows_ / 8;
     bm_addr -= bm_addr % kBurstBytes;
     uint64_t bm_bursts = (chunk_rows + kBitsPerBurst - 1) / kBitsPerBurst;
-    ReadBurstChain(bm_addr, bm_bursts,
-                   [read_columns](sim::Tick) { read_columns(); });
+    lane().ReadBurstChain(bm_addr, bm_bursts,
+                          [this](sim::Tick) { ReadGroupByColumns(); });
   } else {
-    read_columns();
+    ReadGroupByColumns();
   }
 }
 
-void Device::ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done) {
+uint64_t Device::GroupByChunkRows() const {
+  return std::min<uint64_t>(1024, groupby_->num_rows - cursor_rows_);
+}
+
+void Device::ReadGroupByColumns() {
+  const GroupByJob& job = *groupby_;
+  uint64_t bursts = (GroupByChunkRows() * 8 + kBurstBytes - 1) / kBurstBytes;
+  uint64_t val_addr = job.val_base + cursor_rows_ * 8;
+  lane().ReadBurstChain(
+      job.key_base + cursor_rows_ * 8, bursts,
+      [this, val_addr, bursts](sim::Tick) {
+        lane().ReadBurstChain(
+            val_addr, bursts,
+            [this](sim::Tick data_done) { ProcessGroupByChunk(data_done); });
+      });
+}
+
+void Device::ProcessGroupByChunk(sim::Tick data_done) {
   const GroupByJob& j = *groupby_;
-  uint64_t rows_here = chunk_rows;
+  uint64_t rows_here = GroupByChunkRows();
   for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
     if (j.bitmap_base != 0) {
       uint64_t word =
@@ -934,72 +928,74 @@ Status Device::StartProject(const ProjectJob& job,
   last_job_status_ = Status::OK();
   stats_.total_busy_ps -= eq_->Now();
   if (MaybeInjectHang()) return Status::OK();
-  ScheduleAfterGuarded(config_.invocation_overhead_cycles *
-                           config_.clock.period_ps(),
-                       [this] { ProjectStep(); });
+  lane().ScheduleAt(eq_->Now() + config_.invocation_overhead_cycles *
+                                     config_.clock.period_ps(),
+                    [this](sim::Tick) { ProjectStep(); });
   return Status::OK();
 }
 
 void Device::ProjectStep() {
   const ProjectJob& job = *project_;
   if (cursor_rows_ >= job.num_rows) {
-    FlushProjectOutput([this] { FinishJob(); }, /*final_flush=*/true);
+    FlushProjectOutput([this](sim::Tick) { FinishJob(); },
+                       /*final_flush=*/true);
     return;
   }
-  bool need_bitmap = cursor_rows_ % kBitsPerBurst == 0;
-  auto process = [this]() {
-    const ProjectJob& j = *project_;
-    uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
-    burst_addr -= burst_addr % kBurstBytes;
-    ReadBurst(burst_addr, [this](sim::Tick data_done) {
-      const ProjectJob& jb = *project_;
-      uint64_t rows_here = std::min<uint64_t>(
-          kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
-      for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
-        uint64_t word =
-            dram_->backing_store().Read64(jb.bitmap_base + (r / 64) * 8);
-        if ((word >> (r % 64)) & 1) {
-          project_out_buffer_.push_back(static_cast<int64_t>(
-              dram_->backing_store().Read64(jb.col_base +
-                                            r * config_.elem_bytes)));
-          ++stats_.matches;
-        }
-      }
-      stats_.rows_processed += rows_here;
-      cursor_rows_ += rows_here;
-      uint32_t words = kBurstBytes / 8;
-      sim::Tick start = std::max(data_done, engine_ready_at_);
-      sim::Tick proc = config_.BurstProcessingPs(words);
-      engine_ready_at_ = start + proc;
-      stats_.engine_busy_ps += proc;
-      stats_.energy_fj += config_.energy_per_word_fj * words;
-      // Buffer qualifying values up to the device's output buffer capacity
-      // before dumping them back (§4: "when the internal buffers are full,
-      // JAFAR will dump the contents back to a pre-allocated location") —
-      // flushing per burst would pay the write-to-read turnaround each time.
-      if (project_out_buffer_.size() >= config_.output_buffer_bits / 8) {
-        FlushProjectOutput([this] { ProjectStep(); }, /*final_flush=*/false);
-      } else {
-        ProjectStep();
-      }
-    });
-  };
-  if (need_bitmap) {
+  if (cursor_rows_ % kBitsPerBurst == 0) {
     uint64_t bm_addr = job.bitmap_base + (cursor_rows_ / 8);
     bm_addr -= bm_addr % kBurstBytes;
-    ReadBurst(bm_addr, [process](sim::Tick) { process(); });
+    lane().ReadBurst(bm_addr, [this](sim::Tick) { ReadProjectColumn(); });
   } else {
-    process();
+    ReadProjectColumn();
   }
 }
 
-void Device::FlushProjectOutput(std::function<void()> next, bool final_flush) {
+void Device::ReadProjectColumn() {
+  const ProjectJob& j = *project_;
+  uint64_t burst_addr = j.col_base + cursor_rows_ * config_.elem_bytes;
+  burst_addr -= burst_addr % kBurstBytes;
+  lane().ReadBurst(burst_addr, [this](sim::Tick data_done) {
+    const ProjectJob& jb = *project_;
+    uint64_t rows_here = std::min<uint64_t>(
+        kBurstBytes / config_.elem_bytes, jb.num_rows - cursor_rows_);
+    for (uint64_t r = cursor_rows_; r < cursor_rows_ + rows_here; ++r) {
+      uint64_t word =
+          dram_->backing_store().Read64(jb.bitmap_base + (r / 64) * 8);
+      if ((word >> (r % 64)) & 1) {
+        project_out_buffer_.push_back(static_cast<int64_t>(
+            dram_->backing_store().Read64(jb.col_base +
+                                          r * config_.elem_bytes)));
+        ++stats_.matches;
+      }
+    }
+    stats_.rows_processed += rows_here;
+    cursor_rows_ += rows_here;
+    uint32_t words = kBurstBytes / 8;
+    sim::Tick start = std::max(data_done, engine_ready_at_);
+    sim::Tick proc = config_.BurstProcessingPs(words);
+    engine_ready_at_ = start + proc;
+    stats_.engine_busy_ps += proc;
+    stats_.energy_fj += config_.energy_per_word_fj * words;
+    // Buffer qualifying values up to the device's output buffer capacity
+    // before dumping them back (§4: "when the internal buffers are full,
+    // JAFAR will dump the contents back to a pre-allocated location") —
+    // flushing per burst would pay the write-to-read turnaround each time.
+    if (project_out_buffer_.size() >= config_.output_buffer_bits / 8) {
+      FlushProjectOutput([this](sim::Tick) { ProjectStep(); },
+                         /*final_flush=*/false);
+    } else {
+      ProjectStep();
+    }
+  });
+}
+
+void Device::FlushProjectOutput(Continuation next, bool final_flush) {
   const uint64_t words_per_burst = kBurstBytes / 8;
   uint64_t available = project_out_buffer_.size();
   uint64_t to_write = final_flush ? available
                                   : (available / words_per_burst) * words_per_burst;
   if (to_write == 0) {
-    next();
+    next(eq_->Now());
     return;
   }
   uint64_t addr = project_->out_base + project_emitted_ * 8;
@@ -1014,7 +1010,7 @@ void Device::FlushProjectOutput(std::function<void()> next, bool final_flush) {
   uint64_t first_burst = addr - addr % kBurstBytes;
   uint64_t last_byte = addr + to_write * 8 - 1;
   uint64_t bursts = (last_byte - first_burst) / kBurstBytes + 1;
-  WriteBurstChain(first_burst, bursts, std::move(next));
+  lane().WriteBurstChain(first_burst, bursts, next);
 }
 
 }  // namespace ndp::jafar

@@ -10,12 +10,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "dram/dram_system.h"
 #include "jafar/config.h"
 #include "jafar/jobs.h"
 #include "sim/event_queue.h"
 #include "util/bitvector.h"
+#include "util/inline_function.h"
 #include "util/stats_registry.h"
 #include "util/status.h"
 
@@ -133,12 +135,20 @@ class Device {
   /// it from DRAM to detect result corruption (writeback verification).
   uint64_t last_result_checksum() const { return last_result_checksum_; }
 
-  /// Hard-resets a hung or runaway job: strands all in-flight sequencer
-  /// events (epoch guard), settles timing stats, marks the job failed and
-  /// frees the device WITHOUT invoking the completion callback. No-op when
-  /// idle, so a watchdog may race a completion harmlessly. This is the
-  /// recovery path a real driver reaches through the device reset register.
+  /// Hard-resets a hung or runaway job: cancels every armed command lane,
+  /// settles timing stats, marks the job failed and frees the device WITHOUT
+  /// invoking the completion callback. No-op when idle, so a watchdog may
+  /// race a completion harmlessly. This is the recovery path a real driver
+  /// reaches through the device reset register.
   void AbortJob();
+
+  /// A sequencer continuation. It receives the tick its step completed: the
+  /// last data beat of a burst chain, the completion of an issued command,
+  /// or the firing tick of a timed step. Captures are bounded, so building
+  /// one never allocates.
+  using Continuation = InlineFunction<void(sim::Tick)>;
+
+  class Lane;
 
  private:
   // The generation-specific half lives behind DatapathModel (datapath.h),
@@ -146,15 +156,9 @@ class Device {
   // exclusively through DatapathModel's protected forwarders.
   friend class DatapathModel;
 
-  struct Step;  // one pending command in the sequencer
-
   /// Validates that [base, base+len) lies within this device's rank and
   /// returns OK, with decoded sanity checks.
   Status CheckRange(uint64_t base, uint64_t len) const;
-
-  /// Reads one column value (64-bit word, or sign-extended 32-bit half when
-  /// elem_bytes == 4) from the functional backing store.
-  int64_t ReadValue(uint64_t addr) const;
   Status CheckIdleAndOwned() const;
 
   dram::Channel& channel() { return dram_->channel(channel_index_); }
@@ -163,52 +167,31 @@ class Device {
     return n * dram_->timing().tck_ps;
   }
 
-  // -- Sequencer: issues one command chain; all jobs are built on these. ----
+  // -- Command lanes. Lane 0 carries the shell's own chains (every non-scan
+  //    job, bitmap writeback, the probe filter load) and v1's scan; v2 sizes
+  //    one lane per bank in Attach. -------------------------------------------
 
-  /// Issues `cmd` as soon as legal (and, in polite mode, as soon as the host
-  /// controller is idle), then calls `next(done_tick)`. For column commands,
-  /// if a third party (host refresh in polite mode) closed the target row
-  /// between scheduling and issue, `on_stale` is invoked instead so the
-  /// caller can re-open the row. `defer_to_refresh` controls the §3.3
-  /// refresh steal-back backoff: generations whose command chains must not
-  /// yield mid-flight (v2 holds armed banks the controller refuses to
-  /// refresh) pass false and yield at their own barriers instead.
-  void IssueWhenReady(dram::Command cmd, std::function<void(sim::Tick)> next,
-                      std::function<void()> on_stale = nullptr,
-                      bool defer_to_refresh = true);
-
-  /// Ensures `loc`'s bank has `loc.row` open (PRE/ACT as needed), then calls
-  /// `next`.
-  void OpenRow(const dram::DramLocation& loc, std::function<void()> next);
-
-  /// Reads the burst at `addr`; calls `next(data_done_tick)`.
-  void ReadBurst(uint64_t addr, std::function<void(sim::Tick)> next);
-
-  /// Writes the burst at `addr` (functional bytes must already be in the
-  /// backing store); calls `next(data_done_tick)`.
-  void WriteBurst(uint64_t addr, std::function<void(sim::Tick)> next);
+  Lane& lane(uint32_t i = 0);
+  void SetLaneCount(uint32_t n);
+  /// Unschedules every armed lane (job end: finish, failure or abort).
+  void CancelLanes();
 
   // -- Select/row-store machinery. The scan sequencer itself lives in the
   //    generation's DatapathModel; the shell keeps the writeback and
   //    completion paths every generation shares. ----------------------------
 
   void ContinueWhenEngineReady(void (Device::*step)());
-  void FlushBitmap(std::function<void()> next);
-  void WriteBurstChain(uint64_t addr, uint64_t bursts,
-                       std::function<void()> next);
+  void FlushBitmap(Continuation next);
   void FinishJob();
 
-  /// Fails the running job with `st`: strands in-flight events, settles
-  /// stats, records last_job_status_ and invokes the completion callback
-  /// (which must check last_job_status()).
+  /// Fails the running job with `st`: cancels armed lanes, settles stats,
+  /// records last_job_status_ and invokes the completion callback (which
+  /// must check last_job_status()).
   void FailJob(Status st);
 
-  /// Epoch-guarded scheduling: the closure is dropped (not run) if the job
-  /// it belongs to was aborted or finished before the event fires. Every
-  /// sequencer continuation goes through these so AbortJob can cancel a job
-  /// without walking the event queue.
-  void ScheduleAtGuarded(sim::Tick t, std::function<void()> fn);
-  void ScheduleAfterGuarded(sim::Tick delta, std::function<void()> fn);
+  /// Teardown shared by every job end: releases generation-held DRAM state,
+  /// cancels armed lanes, settles the busy time and clears the job state.
+  void EndJob();
 
   /// Draws the hang fault for a freshly dispatched job. Returns true when
   /// the sequencer hangs: the first step is never scheduled and only
@@ -226,14 +209,17 @@ class Device {
   bool EvalProbeKey(int64_t key) const;
 
   void AggregateStep();
-  void ContinueAggregateWhenEngineReady();
+  void ReadAggregateColumn();
   void ProjectStep();
-  void FlushProjectOutput(std::function<void()> next, bool final_flush);
+  void ReadProjectColumn();
+  void FlushProjectOutput(Continuation next, bool final_flush);
   void SortStep();
+  void SortBlock(uint64_t block_rows, sim::Tick last_data);
   void GroupByStep();
-  void ProcessGroupByChunk(uint64_t chunk_rows, sim::Tick data_done);
-  void ReadBurstChain(uint64_t addr, uint64_t bursts,
-                      std::function<void(sim::Tick)> on_last_data);
+  /// Rows in the group-by chunk starting at the cursor (one DRAM row).
+  uint64_t GroupByChunkRows() const;
+  void ReadGroupByColumns();
+  void ProcessGroupByChunk(sim::Tick data_done);
 
   dram::DramSystem* dram_;
   uint32_t channel_index_;
@@ -247,8 +233,11 @@ class Device {
   DeviceStats stats_;
   uint64_t last_matches_ = 0;
 
+  std::unique_ptr<Lane[]> lanes_;  ///< in-flight command chains
+  uint32_t num_lanes_ = 0;
+
   fault::FaultInjector* injector_ = nullptr;  ///< not owned; may be null
-  uint64_t job_epoch_ = 0;       ///< bumped on job end/abort to strand events
+  uint64_t job_epoch_ = 0;       ///< bumped on every job end; lanes carry it
   Status last_job_status_;       ///< outcome of the most recent job
   uint64_t last_result_checksum_ = 0;  ///< FNV-1a over flushed bitmap words
 
@@ -272,6 +261,79 @@ class Device {
   int64_t agg_acc_ = 0;
   std::vector<int64_t> project_out_buffer_;
   uint64_t project_emitted_ = 0;
+};
+
+/// \brief One in-flight command chain of the device sequencer: an intrusive
+/// event node that holds the pending DRAM command, what runs once it issues
+/// (or once its row goes stale), and the job epoch it was armed in. Re-arming
+/// a lane is a few field writes plus EventQueue::Schedule — no allocation —
+/// and the device cancels every armed lane when its job ends, so no
+/// continuation of a finished or aborted job can fire.
+///
+/// A lane runs one chain at a time. A continuation may start the lane's next
+/// chain (or another lane's); the lane copies the continuation out before
+/// calling it and touches nothing afterwards.
+class Device::Lane final : public sim::EventNode {
+ public:
+  Lane() = default;
+
+  /// Issues `cmd` as soon as legal (and, in polite mode, as soon as the host
+  /// controller is idle), then runs `next(done_tick)`. For column commands,
+  /// if a third party (host refresh in polite mode) closed the target row
+  /// between scheduling and issue, `on_stale` runs instead so the caller can
+  /// re-open the row (likewise for an ACT whose bank was opened).
+  /// `defer_to_refresh` controls the §3.3 refresh steal-back backoff:
+  /// generations whose command chains must not yield mid-flight (v2 holds
+  /// armed banks the controller refuses to refresh) pass false and yield at
+  /// their own barriers instead.
+  void IssueWhenReady(const dram::Command& cmd, Continuation next,
+                      Continuation on_stale = {}, bool defer_to_refresh = true);
+
+  /// Reads the burst at `addr` (opening its row as needed); runs
+  /// `next(data_done_tick)`.
+  void ReadBurst(uint64_t addr, Continuation next) {
+    ReadBurstChain(addr, 1, next);
+  }
+  /// Reads `bursts` (> 0) consecutive bursts from `addr`; runs `next` with
+  /// the last burst's data-done tick.
+  void ReadBurstChain(uint64_t addr, uint64_t bursts, Continuation next);
+  /// Writes `bursts` consecutive bursts from `addr` (the functional bytes
+  /// must already be in the backing store); runs `next` after the last one,
+  /// at once when `bursts` is 0.
+  void WriteBurstChain(uint64_t addr, uint64_t bursts, Continuation next);
+
+  /// Runs `step` at tick `t` (>= Now()).
+  void ScheduleAt(sim::Tick t, Continuation step);
+
+ protected:
+  void Fire() override;
+
+ private:
+  friend class Device;
+
+  void Arm(sim::Tick t);
+  void TryIssue();
+  void StartBurst();
+  void OpenRow();
+  void IssueColumn();
+  void OnBurstDone(sim::Tick done);
+
+  Device* dev_ = nullptr;
+  uint64_t epoch_ = 0;       ///< job epoch at arming; checked on firing
+  bool timed_step_ = false;  ///< armed by ScheduleAt, not by a command wait
+
+  // The pending command (or, for a timed step, only `next_`).
+  dram::Command cmd_{};
+  bool defer_to_refresh_ = true;
+  Continuation next_;
+  Continuation on_stale_;
+
+  // The burst chain in flight.
+  bool write_ = false;
+  uint64_t burst_addr_ = 0;
+  uint64_t bursts_left_ = 0;
+  dram::DramLocation loc_;
+  Continuation chain_done_;
 };
 
 }  // namespace ndp::jafar

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -331,6 +332,85 @@ TEST_F(DeviceTest, PartialFinalBufferIsFlushed) {
   EXPECT_FALSE(bm.Get(49));
   EXPECT_TRUE(bm.Get(50));
 }
+
+// -- Abort with an armed lane -------------------------------------------------
+// A watchdog abort lands while the sequencer's command lanes are scheduled on
+// the event queue. AbortJob must cancel them: a new job re-arms the same
+// lanes at once, which the queue refuses for a node that is still scheduled,
+// and no continuation of the aborted job may run afterwards.
+
+class AbortArmedLaneTest
+    : public DeviceTest,
+      public ::testing::WithParamInterface<DeviceGeneration> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == DeviceGeneration::kV1RankIo) {
+      DeviceTest::SetUp();
+      return;
+    }
+    dram::DramOrganization org;  // as Rebuild lays it out
+    org.ranks_per_channel = 2;
+    org.rows_per_bank = 1024;
+    auto cfg = DeviceConfig::DeriveBank(dram::DramTiming::DDR3_1600(), org,
+                                        accel::DatapathResources{})
+                   .ValueOrDie();
+    cfg.output_buffer_bits = 512;
+    Rebuild(cfg);
+  }
+};
+
+TEST_P(AbortArmedLaneTest, RestartAfterAbortMatchesOracle) {
+  // 32 KB: four DRAM rows, so a v2 wave arms four banks.
+  auto values = RandomColumn(4096, 5);
+  LoadColumn(kCol, values);
+  SelectJob aborted;
+  aborted.col_base = kCol;
+  aborted.num_rows = values.size();
+  aborted.range_low = 0;
+  aborted.range_high = 500000;
+  aborted.out_base = kOut;
+  ASSERT_TRUE(device_->StartSelect(aborted, [](sim::Tick) {
+    ADD_FAILURE() << "an aborted job must not complete";
+  }).ok());
+  // Mid-scan, with the sequencer's lanes armed on the queue.
+  ASSERT_TRUE(eq_->RunUntilTrue(
+      [&] { return device_->stats().bursts_read >= 16; }));
+  ASSERT_FALSE(eq_->empty());
+  device_->AbortJob();
+  EXPECT_FALSE(device_->busy());
+  EXPECT_TRUE(eq_->empty()) << "abort left lane events scheduled";
+
+  const DeviceStats before = device_->stats();
+  SelectJob job = aborted;
+  job.range_low = 250000;
+  job.range_high = 750000;
+  RunSelect(job);
+  eq_->RunUntilEmpty();  // nothing of the aborted job may fire now either
+
+  EXPECT_TRUE(device_->last_job_status().ok());
+  EXPECT_EQ(device_->stats().jobs_failed, 1u);
+  EXPECT_EQ(device_->stats().jobs_completed, 1u);
+  const DeviceStats d = device_->stats().DeltaSince(before);
+  EXPECT_EQ(d.rows_processed, values.size());
+  EXPECT_EQ(d.bursts_read, values.size() * 8 / 64);
+  BitVector bm = ReadBitmap(kOut, values.size());
+  uint64_t expected_matches = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    bool pass = values[i] >= 250000 && values[i] <= 750000;
+    ASSERT_EQ(bm.Get(i), pass) << "row " << i;
+    expected_matches += pass;
+  }
+  EXPECT_EQ(device_->last_match_count(), expected_matches);
+}
+
+INSTANTIATE_TEST_SUITE_P(Generations, AbortArmedLaneTest,
+                         ::testing::Values(DeviceGeneration::kV1RankIo,
+                                           DeviceGeneration::kV2BankLevel),
+                         [](const auto& p) {
+                           return p.param == DeviceGeneration::kV1RankIo
+                                      ? std::string("V1")
+                                      : std::string("V2");
+                         });
 
 }  // namespace
 }  // namespace ndp::jafar

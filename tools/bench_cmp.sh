@@ -28,6 +28,14 @@ runs=(
   "abl_serving|"
   "abl_faults|"
   "abl_scaling|"
+  "abl_bank_filter|"
+  "abl_contention|"
+  "abl_rowstore|"
+  "abl_compression|"
+  "abl_aggregation|"
+  "abl_projection|"
+  "abl_sort|"
+  "abl_groupby|"
   "fig3_select_speedup|FIG3_ROWS=65536"
   "fig4_idle_periods|FIG4_SCALE=0.01"
 )

@@ -1206,22 +1206,30 @@ bool NdpRuntime::TransplantRows(Lane& target, Job& job, JobPriority priority,
   uint64_t copy_cycles =
       kStealCopyOverheadBusCycles + bursts * array_->timing().tccd;
   uint32_t ti = target.index;
-  // Shared-pointer hand-off keeps the chunk alive inside the closure.
-  std::shared_ptr<Chunk> pending(chunk.release());
+  // The runtime keeps the chunk while the copy is in flight.
+  Chunk* pending = chunk.get();
+  in_transit_.push_back(std::move(chunk));
   eq_.ScheduleAfter(
       BusCyclesToPs(copy_cycles), [this, ti, pending, src_addr, val_src_addr] {
-        std::vector<uint8_t> buf(pending->rows * 8);
+        auto it = std::find_if(
+            in_transit_.begin(), in_transit_.end(),
+            [pending](const std::unique_ptr<Chunk>& c) {
+              return c.get() == pending;
+            });
+        NDP_CHECK(it != in_transit_.end());
+        std::unique_ptr<Chunk> owned = std::move(*it);
+        in_transit_.erase(it);
+        std::vector<uint8_t> buf(owned->rows * 8);
         array_->dram().backing_store().Read(src_addr, buf.data(), buf.size());
-        array_->dram().backing_store().Write(pending->col_base, buf.data(),
+        array_->dram().backing_store().Write(owned->col_base, buf.data(),
                                              buf.size());
-        if (pending->val_base != 0) {
+        if (owned->val_base != 0) {
           array_->dram().backing_store().Read(val_src_addr, buf.data(),
                                               buf.size());
-          array_->dram().backing_store().Write(pending->val_base, buf.data(),
+          array_->dram().backing_store().Write(owned->val_base, buf.data(),
                                                buf.size());
         }
         Lane& lane = *lanes_[ti];
-        auto owned = std::make_unique<Chunk>(*pending);
         if (lane.state == Lane::State::kDead) {
           // The thief died during the copy; bounce the rows once more.
           Lane* next = nullptr;

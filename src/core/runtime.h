@@ -318,6 +318,9 @@ class NdpRuntime {
   /// NDP_RUNTIME_DEBUG, read once: trace lease/observe/steal decisions.
   bool debug_ = false;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Transplanted chunks whose host-mediated copy is still in flight; the
+  /// copy's completion event finds its chunk here by address.
+  std::vector<std::unique_ptr<Chunk>> in_transit_;
   std::vector<std::unique_ptr<LeaseController>> controllers_;  ///< per channel
   std::map<JobId, std::unique_ptr<Job>> jobs_;
   std::map<JobId, JobResult> results_;

@@ -15,6 +15,10 @@ Cache::Cache(sim::EventQueue* eq, sim::ClockDomain clock, CacheConfig config,
   NDP_CHECK_MSG(lines % config_.ways == 0, "size/ways/line mismatch");
   num_sets_ = static_cast<uint32_t>(lines / config_.ways);
   lines_.resize(lines);
+  // A miss always records its own waiter, even with no merge budget.
+  waiter_slots_ = std::max(1u, config_.max_waiters_per_mshr);
+  mshrs_.resize(config_.mshrs);
+  waiters_.resize(static_cast<size_t>(config_.mshrs) * waiter_slots_);
   stats.Counter("hits", &stats_.hits);
   stats.Counter("misses", &stats_.misses);
   stats.Counter("mshr_merges", &stats_.mshr_merges);
@@ -39,8 +43,9 @@ const Cache::Line* Cache::Lookup(uint64_t line_addr) const {
 
 bool Cache::Contains(uint64_t addr) const { return Lookup(LineAddr(addr)) != nullptr; }
 
-bool Cache::TryAccess(uint64_t addr, bool is_write,
-                      std::function<void(sim::Tick)> on_complete) {
+// ndp-lint: no-alloc-begin (request path: runs once per access and per fill)
+
+bool Cache::TryAccess(uint64_t addr, bool is_write, Completion on_complete) {
   uint64_t line_addr = LineAddr(addr);
   if (Line* line = Lookup(line_addr)) {
     ++stats_.hits;
@@ -51,81 +56,115 @@ bool Cache::TryAccess(uint64_t addr, bool is_write,
     line->lru = ++lru_tick_;
     if (is_write) line->dirty = true;
     if (on_complete) {
-      eq_->ScheduleAfter(HitLatencyPs(), [cb = std::move(on_complete), this] {
-        cb(eq_->Now());
-      });
+      eq_->ScheduleAfter(HitLatencyPs(),
+                         [on_complete, this]() mutable {
+                           on_complete(eq_->Now());
+                         });
     }
     return true;
   }
   // Miss: merge into a pending fill if one exists for this line.
-  auto it = mshr_.find(line_addr);
-  if (it != mshr_.end()) {
-    if (it->second.waiters.size() >= config_.max_waiters_per_mshr) {
+  if (Mshr* m = FindMshr(line_addr)) {
+    if (m->num_waiters >= config_.max_waiters_per_mshr) {
       ++stats_.rejections;
       return false;
     }
     ++stats_.mshr_merges;
-    it->second.prefetch_only = false;
-    it->second.waiters.emplace_back(is_write, std::move(on_complete));
+    m->prefetch_only = false;
+    AddWaiter(m, is_write, on_complete);
     return true;
   }
-  if (mshr_.size() >= config_.mshrs) {
+  if (mshrs_in_use_ >= config_.mshrs) {
     ++stats_.rejections;
     return false;
   }
   ++stats_.misses;
-  Mshr& m = mshr_[line_addr];
-  m.prefetch_only = false;
-  m.waiters.emplace_back(is_write, std::move(on_complete));
+  Mshr* m = AllocateMshr(line_addr);
+  m->prefetch_only = false;
+  AddWaiter(m, is_write, on_complete);
   IssueFill(line_addr);
   MaybePrefetch(line_addr);
   return true;
 }
 
+Cache::Mshr* Cache::FindMshr(uint64_t line_addr) {
+  for (Mshr& m : mshrs_) {
+    if (m.valid && m.line_addr == line_addr) return &m;
+  }
+  return nullptr;
+}
+
+Cache::Mshr* Cache::AllocateMshr(uint64_t line_addr) {
+  for (Mshr& m : mshrs_) {
+    if (m.valid) continue;
+    m = Mshr{};
+    m.line_addr = line_addr;
+    m.valid = true;
+    ++mshrs_in_use_;
+    return &m;
+  }
+  NDP_CHECK_MSG(false, "no free MSHR");
+  return nullptr;
+}
+
+void Cache::AddWaiter(Mshr* m, bool is_write, const Completion& on_complete) {
+  const size_t index = static_cast<size_t>(m - mshrs_.data());
+  Waiter& w = waiters_[index * waiter_slots_ + m->num_waiters++];
+  w.is_write = is_write;
+  w.on_complete = on_complete;
+}
+
 void Cache::IssueFill(uint64_t line_addr) {
-  auto it = mshr_.find(line_addr);
-  if (it == mshr_.end() || it->second.issued) return;
+  Mshr* m = FindMshr(line_addr);
+  if (m == nullptr || m->issued) return;
   // Lookup latency before the miss propagates downstream.
   eq_->ScheduleAfter(HitLatencyPs(), [this, line_addr] {
-    auto it2 = mshr_.find(line_addr);
-    if (it2 == mshr_.end()) return;
+    Mshr* m2 = FindMshr(line_addr);
+    if (m2 == nullptr) return;
     bool ok = next_->TryAccess(line_addr, /*is_write=*/false,
                                [this, line_addr](sim::Tick t) {
                                  HandleFill(line_addr, t);
                                });
     if (ok) {
-      it2->second.issued = true;
+      m2->issued = true;
     } else {
       // Downstream backpressure: retry after one cycle.
       eq_->ScheduleAfter(clock_.period_ps(), [this, line_addr] {
-        auto it3 = mshr_.find(line_addr);
-        if (it3 != mshr_.end()) {
-          it3->second.issued = false;
+        if (Mshr* m3 = FindMshr(line_addr)) {
+          m3->issued = false;
           IssueFill(line_addr);
         }
       });
-      it2->second.issued = true;  // suppress duplicate issue until retry fires
+      m2->issued = true;  // suppress duplicate issue until retry fires
     }
   });
 }
 
 void Cache::HandleFill(uint64_t line_addr, sim::Tick t) {
-  auto it = mshr_.find(line_addr);
-  NDP_CHECK(it != mshr_.end());
-  Mshr m = std::move(it->second);
-  mshr_.erase(it);
-  Install(line_addr, m.prefetch_only);
+  Mshr* m = FindMshr(line_addr);
+  NDP_CHECK(m != nullptr);
+  Install(line_addr, m->prefetch_only);
   Line* line = Lookup(line_addr);
   NDP_CHECK(line != nullptr);
-  for (auto& [w_is_write, cb] : m.waiters) {
-    if (w_is_write) line->dirty = true;
-    if (cb) {
+  const Waiter* w = &waiters_[static_cast<size_t>(m - mshrs_.data()) *
+                              waiter_slots_];
+  for (const Waiter* end = w + m->num_waiters; w != end; ++w) {
+    if (w->is_write) line->dirty = true;
+    if (w->on_complete) {
       eq_->ScheduleAfter(HitLatencyPs(),
-                         [cb = std::move(cb), this] { cb(eq_->Now()); });
+                         [cb = w->on_complete, this]() mutable {
+                           cb(eq_->Now());
+                         });
     }
   }
+  // Nothing above can reach this cache's MSHRs (the writeback goes down a
+  // level), so the slot is released only once its waiters are scheduled.
+  m->valid = false;
+  --mshrs_in_use_;
   (void)t;
 }
+
+// ndp-lint: no-alloc-end
 
 void Cache::Install(uint64_t line_addr, bool prefetched) {
   uint32_t set = SetIndex(line_addr);
@@ -165,10 +204,10 @@ void Cache::MaybePrefetch(uint64_t line_addr) {
   for (uint32_t d = 1; d <= config_.prefetch_degree; ++d) {
     uint64_t pf = line_addr + static_cast<uint64_t>(d) * config_.line_bytes;
     if (Lookup(pf) != nullptr) continue;
-    if (mshr_.count(pf) != 0) continue;
-    if (mshr_.size() >= config_.mshrs) break;
+    if (FindMshr(pf) != nullptr) continue;
+    if (mshrs_in_use_ >= config_.mshrs) break;
     ++stats_.prefetches_issued;
-    mshr_[pf];  // prefetch_only MSHR with no waiters
+    AllocateMshr(pf);  // prefetch_only MSHR with no waiters
     IssueFill(pf);
   }
 }

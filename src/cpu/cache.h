@@ -1,12 +1,15 @@
 // Set-associative write-back, write-allocate cache with MSHRs and an optional
 // next-line prefetcher. Timing-only: tags and dirty bits are modeled, data
 // contents live in the functional BackingStore.
+//
+// The request path allocates nothing: completions are InlineFunctions, hits
+// and fills are pooled closure events, and the MSHRs are a fixed array of
+// `mshrs` slots (found by a linear search on the line address), each with a
+// fixed array of `max_waiters_per_mshr` waiters, all sized at construction.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/mem_if.h"
@@ -47,13 +50,15 @@ class Cache : public MemSink {
   NDP_DISALLOW_COPY_AND_ASSIGN(Cache);
 
   bool TryAccess(uint64_t addr, bool is_write,
-                 std::function<void(sim::Tick)> on_complete) override;
+                 Completion on_complete) override;
 
   /// Drops all lines (dirty contents are NOT written back; test helper).
   void InvalidateAll();
 
   /// True when no fills or writebacks are in flight.
-  bool Quiescent() const { return mshr_.empty() && pending_writebacks_ == 0; }
+  bool Quiescent() const {
+    return mshrs_in_use_ == 0 && pending_writebacks_ == 0;
+  }
 
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
@@ -70,10 +75,18 @@ class Cache : public MemSink {
     bool prefetched = false;
     uint64_t lru = 0;  ///< higher = more recently used
   };
+  struct Waiter {
+    bool is_write = false;
+    Completion on_complete;
+  };
+  /// One outstanding line fill. Its waiters live in `waiters_`, at
+  /// [index * waiter_slots_, index * waiter_slots_ + num_waiters).
   struct Mshr {
-    std::vector<std::pair<bool, std::function<void(sim::Tick)>>> waiters;
+    uint64_t line_addr = 0;
+    bool valid = false;
     bool issued = false;
     bool prefetch_only = true;
+    uint32_t num_waiters = 0;
   };
 
   uint64_t LineAddr(uint64_t addr) const { return addr & ~uint64_t{config_.line_bytes - 1}; }
@@ -82,6 +95,11 @@ class Cache : public MemSink {
   }
   Line* Lookup(uint64_t line_addr);
   const Line* Lookup(uint64_t line_addr) const;
+  /// The MSHR filling `line_addr`, or nullptr.
+  Mshr* FindMshr(uint64_t line_addr);
+  /// Claims a free MSHR for `line_addr`; the caller checked there is one.
+  Mshr* AllocateMshr(uint64_t line_addr);
+  void AddWaiter(Mshr* m, bool is_write, const Completion& on_complete);
   void IssueFill(uint64_t line_addr);
   void HandleFill(uint64_t line_addr, sim::Tick t);
   void Install(uint64_t line_addr, bool prefetched);
@@ -97,7 +115,10 @@ class Cache : public MemSink {
   MemSink* next_;
   uint32_t num_sets_;
   std::vector<Line> lines_;  ///< num_sets_ x ways, row-major
-  std::unordered_map<uint64_t, Mshr> mshr_;
+  std::vector<Mshr> mshrs_;      ///< config_.mshrs slots
+  std::vector<Waiter> waiters_;  ///< mshrs x waiter_slots_, by MSHR index
+  uint32_t waiter_slots_;        ///< per MSHR: max(1, max_waiters_per_mshr)
+  uint32_t mshrs_in_use_ = 0;
   uint64_t lru_tick_ = 0;
   uint32_t pending_writebacks_ = 0;
   CacheStats stats_;

@@ -17,6 +17,7 @@ Core::Core(sim::EventQueue* eq, CoreConfig config, MemSink* l1,
   // a slot with any in-flight µop.
   NDP_CHECK_MSG(config_.rob_entries + 255 < kRingSize,
                 "rob_entries too large for the ROB ring");
+  pending_drains_.reserve(config_.store_buffer_entries);
   stats.Counter("cycles", &stats_.cycles);
   stats.Counter("uops_retired", &stats_.uops_retired);
   stats.Counter("loads", &stats_.loads);
@@ -189,16 +190,16 @@ void Core::DrainStore(uint64_t addr) {
 
 void Core::RetryDrains() {
   // Each pending store gets one L1 attempt per cycle, as when each carried
-  // its own retry closure.
-  for (size_t i = pending_drains_.size(); i > 0; --i) {
-    uint64_t addr = pending_drains_.front();
-    pending_drains_.pop_front();
+  // its own retry closure; the rejected ones stay, in order.
+  size_t kept = 0;
+  for (uint64_t addr : pending_drains_) {
     if (l1_->TryAccess(addr, /*is_write=*/true, nullptr)) {
       --outstanding_stores_;
     } else {
-      pending_drains_.push_back(addr);
+      pending_drains_[kept++] = addr;
     }
   }
+  pending_drains_.resize(kept);
   if (!pending_drains_.empty()) {
     event_queue()->Schedule(event_queue()->Now() + clock().period_ps(),
                             &drain_retry_);

@@ -19,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "cpu/branch_predictor.h"
 #include "cpu/mem_if.h"
@@ -159,9 +159,10 @@ class Core : public sim::TickingComponent {
   std::optional<uint64_t> fetch_blocked_on_seq_;
   sim::Tick fetch_stalled_until_ = 0;
   uint32_t outstanding_stores_ = 0;
-  /// Stores rejected by the L1 awaiting retry; one persistent event retries
-  /// them all each cycle instead of a closure per store per cycle.
-  std::deque<uint64_t> pending_drains_;
+  /// Stores rejected by the L1 awaiting retry, oldest first; one persistent
+  /// event retries them all each cycle instead of a closure per store per
+  /// cycle. Capacity is reserved for the whole store buffer up front.
+  std::vector<uint64_t> pending_drains_;
   sim::MemberEventNode<Core, &Core::RetryDrains> drain_retry_{this};
   bool stream_exhausted_ = false;
   sim::Tick last_retire_tick_ = 0;

@@ -21,31 +21,31 @@ class DramPort : public MemSink {
       : dram_(dram), frontside_ps_(frontside_ps), requester_(requester) {}
 
   bool TryAccess(uint64_t addr, bool is_write,
-                 std::function<void(sim::Tick)> on_complete) override {
-    uint64_t line = addr & ~uint64_t{63};
+                 Completion on_complete) override {
     dram::Request req;
-    req.addr = line;
+    req.addr = addr & ~uint64_t{63};
     req.is_write = is_write;
     req.requester = requester_;
-    req.on_complete = std::move(on_complete);
-    if (!dram_->CanAccept(req)) return false;
+    req.on_complete = on_complete;
+    // Decoded once, here; an address beyond the installed capacity aborts
+    // rather than reading as backpressure that the caches retry forever.
+    const dram::DramLocation loc = dram_->Locate(req.addr);
+    if (!dram_->CanAccept(loc, is_write)) return false;
     if (frontside_ps_ == 0) {
-      return dram_->EnqueueRequest(req).ok();
+      return dram_->EnqueueRequest(req, loc).ok();
     }
-    dram_->event_queue()->ScheduleAfter(frontside_ps_, [this, req]() mutable {
-      // The queue had room when checked; a race with other agents in the same
-      // window can overflow it, in which case we retry every 1 ns.
-      RetryEnqueue(req);
-    });
+    // The queue had room when checked; a race with other agents in the same
+    // window can overflow it, in which case we retry every 1 ns.
+    dram_->event_queue()->ScheduleAfter(
+        frontside_ps_, [this, req, loc] { RetryEnqueue(req, loc); });
     return true;
   }
 
  private:
-  void RetryEnqueue(dram::Request req) {
-    if (dram_->EnqueueRequest(req).ok()) return;
-    dram_->event_queue()->ScheduleAfter(1000, [this, req]() mutable {
-      RetryEnqueue(req);
-    });
+  void RetryEnqueue(const dram::Request& req, const dram::DramLocation& loc) {
+    if (dram_->EnqueueRequest(req, loc).ok()) return;
+    dram_->event_queue()->ScheduleAfter(
+        1000, [this, req, loc] { RetryEnqueue(req, loc); });
   }
 
   dram::DramSystem* dram_;

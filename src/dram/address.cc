@@ -1,5 +1,7 @@
 #include "dram/address.h"
 
+#include <cstdio>
+
 #include "util/macros.h"
 
 namespace ndp::dram {
@@ -29,7 +31,10 @@ uint64_t AddressMapper::ChannelStrideBytes() const {
 
 Result<DramLocation> AddressMapper::Decode(uint64_t addr) const {
   if (addr >= org_.TotalBytes()) {
-    return Status::OutOfRange("address 0x" + std::to_string(addr) +
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "%llx",
+                  static_cast<unsigned long long>(addr));
+    return Status::OutOfRange(std::string("address 0x") + hex +
                               " beyond installed capacity");
   }
   DramLocation loc;

@@ -15,7 +15,9 @@ MemoryController::MemoryController(sim::EventQueue* eq, Channel* channel,
       channel_(channel),
       mapper_(mapper),
       config_(config),
-      bus_(channel->bus_clock()) {
+      bus_(channel->bus_clock()),
+      read_q_(config.read_queue_capacity),
+      write_q_(config.write_queue_capacity) {
   stats.Counter("reads_served", &counters_.reads_served);
   stats.Counter("writes_served", &counters_.writes_served);
   stats.Counter("row_hits", &counters_.row_hits);
@@ -46,17 +48,17 @@ MemoryController::~MemoryController() {
 
 Status MemoryController::Enqueue(const Request& req) {
   NDP_ASSIGN_OR_RETURN(DramLocation loc, mapper_->Decode(req.addr));
+  return Enqueue(req, loc);
+}
+
+Status MemoryController::Enqueue(const Request& req, const DramLocation& loc) {
   sim::Tick now = event_queue()->Now();
   if (req.is_write) {
-    if (write_q_.size() >= config_.write_queue_capacity) {
-      return Status::ResourceExhausted("write queue full");
-    }
-    write_q_.push_back({req, loc, now});
+    if (write_q_.full()) return Status::ResourceExhausted("write queue full");
+    write_q_.PushBack({req, loc, now});
   } else {
-    if (read_q_.size() >= config_.read_queue_capacity) {
-      return Status::ResourceExhausted("read queue full");
-    }
-    read_q_.push_back({req, loc, now});
+    if (read_q_.full()) return Status::ResourceExhausted("read queue full");
+    read_q_.PushBack({req, loc, now});
   }
   NoteQueueStateChange(now);
   Wake();
@@ -222,11 +224,22 @@ bool MemoryController::TryMrs(sim::Tick now) {
     auto done = std::move(op.done);
     mrs_q_.pop_front();
     sim::Tick ready = now + channel_->timing().tmrd * bus_.period_ps();
-    if (done) event_queue()->ScheduleAt(ready, [done, ready] { done(ready); });
+    if (done) {
+      mrs_done_.push_back(std::move(done));
+      event_queue()->ScheduleAt(ready, [this, ready] { FinishMrs(ready); });
+    }
     return true;
   }
   return false;
 }
+
+void MemoryController::FinishMrs(sim::Tick ready) {
+  auto done = std::move(mrs_done_.front());
+  mrs_done_.pop_front();
+  done(ready);
+}
+
+// ndp-lint: no-alloc-begin (issue path: runs on every controller tick)
 
 bool MemoryController::IssueForRequest(QueuedRequest* qr, bool is_write,
                                        sim::Tick now, bool* completed) {
@@ -256,9 +269,10 @@ bool MemoryController::IssueForRequest(QueuedRequest* qr, bool is_write,
         ++counters_.row_hits;
       }
       if (qr->req.on_complete) {
-        auto cb = qr->req.on_complete;
         sim::Tick t = done.value();
-        event_queue()->ScheduleAt(t, [cb, t] { cb(t); });
+        event_queue()->ScheduleAt(t, [cb = qr->req.on_complete, t]() mutable {
+          cb(t);
+        });
       }
       *completed = true;
       return true;
@@ -283,7 +297,7 @@ bool MemoryController::IssueForRequest(QueuedRequest* qr, bool is_write,
   return false;
 }
 
-bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
+bool MemoryController::ServeQueue(RequestQueue* q, bool is_write,
                                   sim::Tick now) {
   // FR-FCFS: issue the first request whose row is already open (row hit);
   // otherwise make progress (PRE/ACT) on the oldest serviceable request.
@@ -297,7 +311,7 @@ bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
       bool completed = false;
       if (IssueForRequest(&qr, is_write, now, &completed)) {
         if (completed) {
-          q->erase(q->begin() + static_cast<long>(i));
+          q->Erase(i);
           NoteQueueStateChange(now);
         }
         return true;
@@ -311,7 +325,7 @@ bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
     bool completed = false;
     if (IssueForRequest(&qr, is_write, now, &completed)) {
       if (completed) {
-        q->erase(q->begin() + static_cast<long>(i));
+        q->Erase(i);
         NoteQueueStateChange(now);
       }
       return true;
@@ -320,6 +334,8 @@ bool MemoryController::ServeQueue(std::deque<QueuedRequest>* q, bool is_write,
   }
   return false;
 }
+
+// ndp-lint: no-alloc-end
 
 bool MemoryController::Tick() {
   sim::Tick now = event_queue()->Now();
@@ -368,13 +384,11 @@ bool MemoryController::TryCloseIdleRows(sim::Tick now) {
       if (!bank.has_open_row()) continue;
       // Keep the row open if any queued request still wants it.
       bool wanted = false;
-      for (const auto* q : {&read_q_, &write_q_}) {
-        for (const QueuedRequest& qr : *q) {
-          if (qr.loc.rank == r && qr.loc.bank == b &&
-              qr.loc.row == bank.open_row()) {
-            wanted = true;
-            break;
-          }
+      for (const RequestQueue* q : {&read_q_, &write_q_}) {
+        for (size_t i = 0; i < q->size() && !wanted; ++i) {
+          const QueuedRequest& qr = (*q)[i];
+          wanted = qr.loc.rank == r && qr.loc.bank == b &&
+                   qr.loc.row == bank.open_row();
         }
         if (wanted) break;
       }

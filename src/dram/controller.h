@@ -5,12 +5,17 @@
 //
 // Rank-ownership awareness: requests to a rank whose MR3/MPR bit is set (rank
 // granted to JAFAR) are held in the queues until ownership returns.
+//
+// The request path allocates nothing: the read and write queues are fixed
+// rings sized by the configured capacities, and a request's completion is an
+// InlineFunction carried by a pooled closure event.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "dram/channel.h"
 #include "dram/request.h"
@@ -67,13 +72,15 @@ class MemoryController : public sim::TickingComponent {
   ~MemoryController() override;
 
   /// Enqueues a request. Fails with ResourceExhausted when the target queue is
-  /// full; the caller must retry later (MSHR-style backpressure).
+  /// full; the caller must retry later (MSHR-style backpressure), and with
+  /// OutOfRange when `req.addr` does not decode.
   Status Enqueue(const Request& req);
+  /// Same, for a request already decoded to `loc` (a location on this
+  /// controller's channel).
+  Status Enqueue(const Request& req, const DramLocation& loc);
 
-  bool CanAcceptRead() const { return read_q_.size() < config_.read_queue_capacity; }
-  bool CanAcceptWrite() const {
-    return write_q_.size() < config_.write_queue_capacity;
-  }
+  bool CanAcceptRead() const { return !read_q_.full(); }
+  bool CanAcceptWrite() const { return !write_q_.full(); }
 
   /// Requests an ownership transfer of `rank` by reprogramming MR3. The
   /// controller precharges all banks of the rank, issues the MRS, then invokes
@@ -116,6 +123,48 @@ class MemoryController : public sim::TickingComponent {
     bool caused_activate = false;   ///< an ACT was issued on its behalf
     bool caused_precharge = false;  ///< a PRE (row conflict) was issued
   };
+  /// A fixed-capacity FIFO that also erases at an index (FR-FCFS serves
+  /// row hits out of order). Storage is allocated once, at construction.
+  class RequestQueue {
+   public:
+    explicit RequestQueue(size_t capacity) : slots_(capacity) {}
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    bool full() const { return size_ == slots_.size(); }
+    QueuedRequest& operator[](size_t i) { return slots_[Wrap(head_ + i)]; }
+    const QueuedRequest& operator[](size_t i) const {
+      return slots_[Wrap(head_ + i)];
+    }
+
+    void PushBack(const QueuedRequest& qr) {
+      NDP_CHECK(!full());
+      slots_[Wrap(head_ + size_)] = qr;
+      ++size_;
+    }
+
+    /// Removes entry `i`, keeping the others in order; shifts whichever
+    /// side of `i` is shorter.
+    void Erase(size_t i) {
+      NDP_CHECK(i < size_);
+      if (i < size_ / 2) {
+        for (size_t j = i; j > 0; --j) (*this)[j] = (*this)[j - 1];
+        head_ = Wrap(head_ + 1);
+      } else {
+        for (size_t j = i; j + 1 < size_; ++j) (*this)[j] = (*this)[j + 1];
+      }
+      --size_;
+    }
+
+   private:
+    size_t Wrap(size_t i) const {
+      return i >= slots_.size() ? i - slots_.size() : i;
+    }
+
+    std::vector<QueuedRequest> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
   struct MrsOp {
     uint32_t rank;
     uint32_t value;
@@ -126,9 +175,11 @@ class MemoryController : public sim::TickingComponent {
   // Scheduling helpers; each returns true if a command was issued this tick.
   bool TryRefresh(sim::Tick now);
   bool TryMrs(sim::Tick now);
+  /// Runs the oldest issued MRS's completion (see mrs_done_).
+  void FinishMrs(sim::Tick ready);
   /// Closed-page policy: precharges open banks no queued request needs.
   bool TryCloseIdleRows(sim::Tick now);
-  bool ServeQueue(std::deque<QueuedRequest>* q, bool is_write, sim::Tick now);
+  bool ServeQueue(RequestQueue* q, bool is_write, sim::Tick now);
   bool IssueForRequest(QueuedRequest* qr, bool is_write, sim::Tick now,
                        bool* completed);
 
@@ -143,9 +194,14 @@ class MemoryController : public sim::TickingComponent {
   ControllerConfig config_;
   sim::ClockDomain bus_;
 
-  std::deque<QueuedRequest> read_q_;
-  std::deque<QueuedRequest> write_q_;
+  RequestQueue read_q_;
+  RequestQueue write_q_;
   std::deque<MrsOp> mrs_q_;
+  /// Completions of issued MRS ops, oldest first. Each one's closure event
+  /// captures only the controller (a std::function does not fit a closure
+  /// event); MRS ops issue in order and complete a fixed tMRD later, so the
+  /// events fire in this order.
+  std::deque<std::function<void(sim::Tick)>> mrs_done_;
 
   bool write_drain_mode_ = false;
   bool has_open_rows_hint_ = false;  ///< closed-page: rows still to close

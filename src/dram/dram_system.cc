@@ -1,5 +1,7 @@
 #include "dram/dram_system.h"
 
+#include "util/macros.h"
+
 namespace ndp::dram {
 
 DramSystem::DramSystem(sim::EventQueue* eq, DramTiming timing,
@@ -40,14 +42,22 @@ DramSystem::DramSystem(sim::EventQueue* eq, DramTiming timing,
 
 Status DramSystem::EnqueueRequest(const Request& req) {
   NDP_ASSIGN_OR_RETURN(DramLocation loc, mapper_.Decode(req.addr));
-  return controllers_[loc.channel]->Enqueue(req);
+  return EnqueueRequest(req, loc);
 }
 
-bool DramSystem::CanAccept(const Request& req) const {
-  auto loc = mapper_.Decode(req.addr);
-  if (!loc.ok()) return false;
-  const MemoryController& mc = *controllers_[loc.value().channel];
-  return req.is_write ? mc.CanAcceptWrite() : mc.CanAcceptRead();
+Status DramSystem::EnqueueRequest(const Request& req, const DramLocation& loc) {
+  return controllers_[loc.channel]->Enqueue(req, loc);
+}
+
+DramLocation DramSystem::Locate(uint64_t addr) const {
+  Result<DramLocation> loc = mapper_.Decode(addr);
+  NDP_CHECK_MSG(loc.ok(), loc.status().ToString().c_str());
+  return loc.value();
+}
+
+bool DramSystem::CanAccept(const DramLocation& loc, bool is_write) const {
+  const MemoryController& mc = *controllers_[loc.channel];
+  return is_write ? mc.CanAcceptWrite() : mc.CanAcceptRead();
 }
 
 ControllerCounters DramSystem::TotalCounters() const {

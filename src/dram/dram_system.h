@@ -24,12 +24,23 @@ class DramSystem {
              const StatsScope& stats = {});
   NDP_DISALLOW_COPY_AND_ASSIGN(DramSystem);
 
-  /// Routes a burst request through the owning channel's controller.
-  /// The functional data transfer against the backing store happens at
-  /// completion time for reads and at enqueue time for writes.
+  /// Routes a burst request through the owning channel's controller. Fails
+  /// with ResourceExhausted when that queue is full and with OutOfRange when
+  /// `req.addr` lies beyond the installed capacity.
   Status EnqueueRequest(const Request& req);
+  /// Same, for a request already decoded by Locate().
+  Status EnqueueRequest(const Request& req, const DramLocation& loc);
 
-  bool CanAccept(const Request& req) const;
+  /// Decodes the address of a request that must be served: an address
+  /// beyond the installed capacity aborts, naming it (a CPU access there
+  /// could never complete, so retrying it would spin forever).
+  DramLocation Locate(uint64_t addr) const;
+
+  /// Whether the controller owning `loc` has queue room for the request.
+  bool CanAccept(const DramLocation& loc, bool is_write) const;
+  bool CanAccept(const Request& req) const {
+    return CanAccept(Locate(req.addr), req.is_write);
+  }
 
   const AddressMapper& mapper() const { return mapper_; }
   const DramTiming& timing() const { return timing_; }

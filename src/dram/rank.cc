@@ -18,8 +18,9 @@ sim::Tick Rank::EarliestActivate(uint32_t bank_idx) const {
   sim::Tick t = std::max(banks_[bank_idx].CanActivateAt(), next_act_any_);
   // tFAW: at most four ACTs in any tFAW window. If four have issued, the next
   // must wait until the oldest leaves the window.
-  if (recent_activates_.size() >= 4) {
-    t = std::max(t, recent_activates_.front() + Cycles(timing_->tfaw));
+  if (activates_recorded_ >= 4) {
+    t = std::max(t, recent_activates_[activates_recorded_ % 4] +
+                        Cycles(timing_->tfaw));
   }
   return std::max(t, mrs_busy_until_);
 }
@@ -87,8 +88,7 @@ Result<sim::Tick> Rank::Issue(const Command& cmd, sim::Tick t) {
     case CommandType::kActivate: {
       NDP_RETURN_NOT_OK(banks_[cmd.bank].Activate(t, cmd.row));
       next_act_any_ = std::max(next_act_any_, t + Cycles(timing_->trrd));
-      recent_activates_.push_back(t);
-      while (recent_activates_.size() > 4) recent_activates_.pop_front();
+      recent_activates_[activates_recorded_++ % 4] = t;
       ++activates_issued_;
       return t;
     }

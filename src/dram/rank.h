@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/bank.h"
@@ -119,7 +118,10 @@ class Rank {
   sim::Tick next_read_after_write_ = 0;  ///< tWTR
   sim::Tick next_act_any_ = 0;     ///< tRRD across banks
   sim::Tick mrs_busy_until_ = 0;   ///< tMRD after MRS
-  std::deque<sim::Tick> recent_activates_;  ///< for the tFAW 4-ACT window
+  /// tFAW window: the last four ACT ticks, a ring written at
+  /// activates_recorded_ % 4 (which, once four are in, is the oldest).
+  std::array<sim::Tick, 4> recent_activates_ = {};
+  uint64_t activates_recorded_ = 0;
 
   uint64_t reads_issued_ = 0;
   uint64_t writes_issued_ = 0;

@@ -3,10 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "dram/address.h"
 #include "sim/time.h"
+#include "util/inline_function.h"
 
 namespace ndp::dram {
 
@@ -19,7 +19,8 @@ struct Request {
   bool is_write = false;
   RequesterId requester = RequesterId::kCpu;
   /// Invoked when the last data beat of the burst completes, with that tick.
-  std::function<void(sim::Tick)> on_complete;
+  /// Inline (no allocation); may be empty.
+  InlineFunction<void(sim::Tick)> on_complete;
 };
 
 }  // namespace ndp::dram

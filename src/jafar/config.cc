@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/macros.h"
 
@@ -32,9 +37,73 @@ Result<accel::DatapathSummary> ScheduleProbe(
   return accel::DatapathSummary::FromSchedule(kernel, sched);
 }
 
+/// Every input a derivation reads: the timing's name and each numeric field
+/// of the timing, the organization (DeriveBank only) and the resources.
+using DeriveKey = std::pair<std::string, std::vector<uint64_t>>;
+
+// MakeKey must list every field; these fail when one is added.
+static_assert(sizeof(dram::DramTiming) ==
+                  sizeof(std::string) + sizeof(uint64_t) + 16 * sizeof(uint32_t),
+              "DramTiming changed: update MakeKey");
+static_assert(sizeof(dram::DramOrganization) == 7 * sizeof(uint32_t),
+              "DramOrganization changed: update MakeKey");
+static_assert(sizeof(accel::DatapathResources) == 6 * sizeof(uint32_t),
+              "DatapathResources changed: update MakeKey");
+
+DeriveKey MakeKey(const dram::DramTiming& t, const dram::DramOrganization* org,
+                  const accel::DatapathResources& r) {
+  DeriveKey key{t.name,
+                {t.tck_ps, t.cl, t.cwl, t.trcd, t.trp, t.tras, t.trc, t.tccd,
+                 t.tburst, t.twr, t.twtr, t.trtp, t.trrd, t.tfaw, t.trfc,
+                 t.trefi, t.tmrd, r.mem_read_ports, r.mem_write_ports, r.alus,
+                 r.multipliers, r.bit_units, r.pipelined ? 1u : 0u}};
+  if (org != nullptr) {
+    key.second.insert(
+        key.second.end(),
+        {org->channels, org->ranks_per_channel, org->banks_per_rank,
+         org->rows_per_bank, org->row_size_bytes, org->bus_width_bits,
+         org->burst_length});
+  }
+  return key;
+}
+
+/// Returns the memoized result for `key`, running `compute` on a miss. The
+/// computation runs outside the lock; concurrent first calls compute equal
+/// values and the first to finish is kept.
+template <typename Compute>
+Result<DeviceConfig> Memoized(std::map<DeriveKey, Result<DeviceConfig>>* memo,
+                              std::mutex* mu, const DeriveKey& key,
+                              Compute compute) {
+  {
+    std::lock_guard<std::mutex> lock(*mu);
+    auto it = memo->find(key);
+    if (it != memo->end()) return it->second;
+  }
+  Result<DeviceConfig> fresh = compute();
+  std::lock_guard<std::mutex> lock(*mu);
+  return memo->emplace(key, std::move(fresh)).first->second;
+}
+
 }  // namespace
 
 Result<DeviceConfig> DeviceConfig::Derive(
+    const dram::DramTiming& timing, const accel::DatapathResources& resources) {
+  static std::mutex mu;
+  static std::map<DeriveKey, Result<DeviceConfig>> memo;
+  return Memoized(&memo, &mu, MakeKey(timing, nullptr, resources),
+                  [&] { return DeriveUncached(timing, resources); });
+}
+
+Result<DeviceConfig> DeviceConfig::DeriveBank(
+    const dram::DramTiming& timing, const dram::DramOrganization& org,
+    const accel::DatapathResources& rank_resources) {
+  static std::mutex mu;
+  static std::map<DeriveKey, Result<DeviceConfig>> memo;
+  return Memoized(&memo, &mu, MakeKey(timing, &org, rank_resources),
+                  [&] { return DeriveBankUncached(timing, org, rank_resources); });
+}
+
+Result<DeviceConfig> DeviceConfig::DeriveUncached(
     const dram::DramTiming& timing, const accel::DatapathResources& resources) {
   accel::LoopKernel kernel = accel::MakeSelectKernel();
   NDP_ASSIGN_OR_RETURN(accel::ScheduleResult sched,
@@ -48,10 +117,10 @@ Result<DeviceConfig> DeviceConfig::Derive(
   return cfg;
 }
 
-Result<DeviceConfig> DeviceConfig::DeriveBank(
+Result<DeviceConfig> DeviceConfig::DeriveBankUncached(
     const dram::DramTiming& timing, const dram::DramOrganization& org,
     const accel::DatapathResources& rank_resources) {
-  NDP_ASSIGN_OR_RETURN(DeviceConfig cfg, Derive(timing, rank_resources));
+  NDP_ASSIGN_OR_RETURN(DeviceConfig cfg, DeriveUncached(timing, rank_resources));
   cfg.generation = DeviceGeneration::kV2BankLevel;
 
   // Per-bank comparator: an area-constrained slice of the rank datapath (one

@@ -102,6 +102,10 @@ struct DeviceConfig {
 
   /// Convenience: schedules `resources` on the range-select kernel and builds
   /// the config from the result.
+  ///
+  /// Derive and DeriveBank are pure functions of their arguments, so both
+  /// are memoized process-wide (thread-safe: sweeps build systems on worker
+  /// threads); the first call with given arguments runs the scheduler.
   static Result<DeviceConfig> Derive(const dram::DramTiming& timing,
                                      const accel::DatapathResources& resources);
 
@@ -111,6 +115,15 @@ struct DeviceConfig {
   /// from scheduling the same select kernel on an area-constrained per-bank
   /// slice of `rank_resources` — never from hand-picked constants.
   static Result<DeviceConfig> DeriveBank(
+      const dram::DramTiming& timing, const dram::DramOrganization& org,
+      const accel::DatapathResources& rank_resources);
+
+  /// The derivations themselves, bypassing the memo (what Derive and
+  /// DeriveBank cache; tests compare the two).
+  static Result<DeviceConfig> DeriveUncached(
+      const dram::DramTiming& timing,
+      const accel::DatapathResources& resources);
+  static Result<DeviceConfig> DeriveBankUncached(
       const dram::DramTiming& timing, const dram::DramOrganization& org,
       const accel::DatapathResources& rank_resources);
 

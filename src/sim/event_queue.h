@@ -8,7 +8,7 @@
 //
 //   * EventNode is intrusive: clocked components embed one persistent node and
 //     re-arm it with a couple of pointer writes and a virtual Fire() dispatch —
-//     no std::function construction, no queue-element copies.
+//     no closure construction, no queue-element copies.
 //   * Near-future events live in a two-level timing wheel: L0 slots of
 //     kSlotTicks picoseconds spanning one "span", L1 slots of one span each.
 //     Far-future events (DRAM refresh, ownership leases) overflow into a
@@ -16,10 +16,14 @@
 //   * When exactly one event is pending — a lone self-ticking component, e.g.
 //     JAFAR streaming a page while the CPU spin-waits — it is parked in the
 //     `solo_` slot and fires without touching the wheel at all.
-//   * Closure events (ScheduleAt) draw pooled nodes from a free list; they
-//     allocate only while growing the pool's high-water mark.
+//   * Closure events (ScheduleAt) carry an InlineFunction inside a pooled
+//     node drawn from a free list: no allocation once the pool is warm.
 //   * Run loops are templated on the predicate, so RunUntilTrue pays no
-//     indirect std::function call per event.
+//     indirect call per event on its own loop.
+//   * Inline next edge: inside a run loop, a clocked component whose next
+//     edge is the event the loop would pop next runs that edge directly
+//     (FireInline), skipping the Schedule/pop round trip. See FireInline for
+//     the exact condition; a bare Step() never does this.
 //
 // Execution order is deterministic: (time, schedule sequence number) is a
 // total order, so FIFO tie-breaking at equal times is preserved across the
@@ -29,11 +33,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.h"
+#include "util/inline_function.h"
 #include "util/macros.h"
 
 namespace ndp::sim {
@@ -76,7 +81,11 @@ class EventNode {
 /// \brief Timing-wheel event queue with deterministic FIFO tie-breaking.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// Capture budget of a closure event, in bytes. The largest hot capture is
+  /// the DRAM port's front-side hop: the port, the request (with its inline
+  /// completion) and the decoded location. A larger closure fails to compile.
+  static constexpr size_t kCallbackCapacity = 80;
+  using Callback = InlineFunction<void(), kCallbackCapacity>;
 
   /// L0 slot granularity in ticks (ps). Chosen so one slot holds roughly one
   /// clock edge of the fastest domain (JAFAR at 625 ps, CPU at 1000 ps).
@@ -144,22 +153,24 @@ class EventQueue {
 
   /// Schedules `cb` to run at absolute time `when` (>= Now()). The closure is
   /// carried by a pooled node: no allocation once the pool is warm.
-  void ScheduleAt(Tick when, Callback cb) {
+  void ScheduleAt(Tick when, const Callback& cb) {
     ClosureNode* node = AcquireClosure();
-    node->cb_ = std::move(cb);
+    node->cb_ = cb;
     Schedule(when, node);
   }
 
   /// Schedules `cb` to run `delay` ticks from now.
-  void ScheduleAfter(Tick delay, Callback cb) {
-    ScheduleAt(now_ + delay, std::move(cb));
+  void ScheduleAfter(Tick delay, const Callback& cb) {
+    ScheduleAt(now_ + delay, cb);
   }
 
   bool empty() const { return num_pending_ == 0; }
   size_t size() const { return num_pending_; }
 
-  /// Lifetime count of events executed (Step() completions).
+  /// Lifetime count of events executed (inline next edges included).
   uint64_t executed_events() const { return executed_events_; }
+  /// How many of those ran as inline next edges (FireInline).
+  uint64_t inline_edges() const { return inline_edges_; }
 
   /// Time of the earliest pending event; queue must be non-empty. (May migrate
   /// events between wheel levels to locate the head, hence non-const.)
@@ -169,60 +180,101 @@ class EventQueue {
     return head->when_;
   }
 
-  /// Runs a single event. Returns false if the queue is empty.
+  /// Runs a single event. Returns false if the queue is empty. A bare Step()
+  /// never fires a next edge inline: it runs exactly one event.
   bool Step() {
-    EventNode* node = PopEarliest();
-    if (node == nullptr) return false;
-    NDP_CHECK(node->when_ >= now_);
-    now_ = node->when_;
-    ++executed_events_;
-    node->Fire();
-    return true;
+    RunLoop* outer = loop_;
+    loop_ = nullptr;
+    const bool stepped = StepOne();
+    loop_ = outer;
+    return stepped;
   }
 
   /// Runs events until the queue is empty. Returns events executed.
   uint64_t RunUntilEmpty() {
-    uint64_t n = 0;
-    while (Step()) ++n;
-    return n;
+    const uint64_t start = executed_events_;
+    RunLoop loop;
+    LoopScope scope(this, &loop);
+    while (StepOne()) {
+    }
+    return executed_events_ - start;
   }
 
   /// Runs all events with time <= `until`, then advances Now() to `until`.
+  /// Returns events executed.
   uint64_t RunUntil(Tick until) {
-    uint64_t n = 0;
+    const uint64_t start = executed_events_;
+    RunLoop loop;
+    loop.bound = until;
+    LoopScope scope(this, &loop);
     for (EventNode* head = PeekEarliest();
          head != nullptr && head->when_ <= until; head = PeekEarliest()) {
-      Step();
-      ++n;
+      StepOne();
     }
     if (now_ < until) now_ = until;
-    return n;
+    return executed_events_ - start;
   }
 
   /// Runs until `pred()` is true or the queue empties. Returns whether the
   /// predicate was satisfied. Templated so the per-event predicate check is a
-  /// direct (inlinable) call, not a std::function dispatch.
+  /// direct (inlinable) call; only an inline next edge calls it indirectly.
+  /// The predicate must not inspect the queue itself (size(), empty()): a
+  /// component running its next edge inline is not pending meanwhile.
   template <typename Pred>
   bool RunUntilTrue(Pred&& pred) {
+    using P = std::remove_reference_t<Pred>;
+    RunLoop loop;
+    loop.pred = [](void* p) -> bool { return (*static_cast<P*>(p))(); };
+    loop.pred_ctx = const_cast<void*>(static_cast<const void*>(&pred));
+    LoopScope scope(this, &loop);
     while (!pred()) {
-      if (!Step()) return pred();
+      if (!StepOne()) return pred();
+      if (loop.pred_true) return true;  // an inline edge found it true
     }
+    return true;
+  }
+
+  /// Inline next edge. A clocked component calls this after a Tick() that
+  /// wants its next edge `when` (> Now()), instead of Schedule(when, node).
+  /// It returns true — having done what Schedule, the run loop's pop and
+  /// Fire's prologue would: Now() = when, node->when() = when, one more
+  /// executed event — when the innermost run loop would pop `node` next:
+  ///   * a run loop is active (never under a bare Step());
+  ///   * `when` is within RunUntil's bound;
+  ///   * no pending event is due at or before `when` (a rescheduled node
+  ///     would carry the newest sequence number, so it loses every tie);
+  ///   * RunUntilTrue's predicate, evaluated exactly where the step-by-step
+  ///     loop would evaluate it next, is still false.
+  /// The caller then runs the edge itself. On false, nothing observable has
+  /// changed and the caller schedules `node` as usual.
+  bool FireInline(EventNode* node, Tick when) {
+    RunLoop* loop = loop_;
+    if (loop == nullptr || when > loop->bound) return false;
+    if (!NothingDueBy(when)) return false;
+    if (loop->pred != nullptr && loop->pred(loop->pred_ctx)) {
+      loop->pred_true = true;
+      return false;
+    }
+    now_ = when;
+    node->when_ = when;
+    node->seq_ = next_seq_++;
+    ++executed_events_;
+    ++inline_edges_;
     return true;
   }
 
   // ndp-lint: no-alloc-end
 
  private:
-  /// Pooled carrier for std::function events. Returned to the free list
-  /// before the closure runs, so a closure that reschedules reuses its node.
+  /// Pooled carrier for closure events. Returned to the free list before
+  /// the closure runs, so a closure that reschedules reuses its node.
   class ClosureNode final : public EventNode {
    public:
     explicit ClosureNode(EventQueue* owner) : owner_(owner) {}
 
    protected:
     void Fire() override {
-      Callback cb = std::move(cb_);
-      cb_ = nullptr;
+      Callback cb = cb_;
       owner_->ReleaseClosure(this);
       cb();
     }
@@ -231,6 +283,29 @@ class EventQueue {
     friend class EventQueue;
     EventQueue* owner_;
     Callback cb_;
+  };
+
+  /// The innermost active run loop: what FireInline must respect.
+  struct RunLoop {
+    Tick bound = EventNode::kNever;     ///< RunUntil's `until`
+    bool (*pred)(void*) = nullptr;      ///< RunUntilTrue's predicate
+    void* pred_ctx = nullptr;
+    bool pred_true = false;  ///< FireInline saw the predicate true
+  };
+
+  /// Installs a run loop for its lifetime, restoring the enclosing one (a
+  /// run loop may be entered from inside an event).
+  class LoopScope {
+   public:
+    LoopScope(EventQueue* q, RunLoop* loop) : q_(q), outer_(q->loop_) {
+      q->loop_ = loop;
+    }
+    ~LoopScope() { q_->loop_ = outer_; }
+    NDP_DISALLOW_COPY_AND_ASSIGN(LoopScope);
+
+   private:
+    EventQueue* q_;
+    RunLoop* outer_;
   };
 
   /// Heap comparator: top() is the earliest (when, seq) — a total order, so
@@ -371,6 +446,55 @@ class EventQueue {
     return node;
   }
 
+  /// Step() under the current run loop (inline next edges allowed).
+  bool StepOne() {
+    EventNode* node = PopEarliest();
+    if (node == nullptr) return false;
+    NDP_CHECK(node->when_ >= now_);
+    now_ = node->when_;
+    ++executed_events_;
+    node->Fire();
+    return true;
+  }
+
+  /// True when no pending event is due at or before `t`. Proving it for a
+  /// `t` ahead of the cursor moves the cursor over the empty slots on the
+  /// way, exactly as AdvanceCursor would on its way to an event at `t`;
+  /// that keeps the scan short across a long run of inline edges.
+  bool NothingDueBy(Tick t) {
+    if (num_pending_ == 0) return true;
+    if (solo_ != nullptr) return solo_->when_ > t;
+    // Wheel events all lie beyond the cursor, the bucket's at or before it.
+    if (!bucket_.empty()) return bucket_.front()->when_ > t;
+    const uint64_t qe = Quantum(t);
+    if (qe <= cur_quantum_) return true;
+    const uint64_t se = qe / kL0Slots;
+    if (se > cur_span_) {
+      if (l0_count_ > 0) return false;  // L0 holds only the cursor's span
+      if (l1_count_ > 0) {
+        if (se - cur_span_ >= kL1Slots) return false;
+        for (uint64_t s = cur_span_ + 1; s < se; ++s) {
+          if (l1_[s % kL1Slots] != nullptr) return false;
+        }
+        for (EventNode* n = l1_[se % kL1Slots]; n != nullptr; n = n->next_) {
+          if (n->when_ <= t) return false;
+        }
+      }
+      if (!overflow_.empty() && overflow_.front()->when_ <= t) return false;
+      EnterSpan(se);
+    }
+    if (l0_count_ > 0) {
+      for (uint64_t q = cur_quantum_ + 1; q < qe; ++q) {
+        if (l0_[q % kL0Slots] != nullptr) return false;
+      }
+      for (EventNode* n = l0_[qe % kL0Slots]; n != nullptr; n = n->next_) {
+        if (n->when_ <= t) return false;
+      }
+    }
+    cur_quantum_ = qe - 1;
+    return true;
+  }
+
   // ndp-lint: no-alloc-end
 
   static void PushHeap(std::vector<EventNode*>* heap, EventNode* node) {
@@ -415,6 +539,7 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   size_t num_pending_ = 0;
   uint64_t executed_events_ = 0;
+  uint64_t inline_edges_ = 0;
 
   EventNode* solo_ = nullptr;  ///< sole pending event (bypasses the wheel)
 
@@ -429,6 +554,8 @@ class EventQueue {
 
   std::vector<std::unique_ptr<ClosureNode>> closure_arena_;
   ClosureNode* free_closures_ = nullptr;
+
+  RunLoop* loop_ = nullptr;  ///< innermost run loop; null under a bare Step()
 };
 
 }  // namespace ndp::sim

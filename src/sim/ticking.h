@@ -16,8 +16,10 @@ namespace ndp::sim {
 /// edge is processed at most once even if Wake() is called repeatedly.
 ///
 /// The component carries one persistent intrusive EventNode, so re-arming on
-/// every clock edge costs no allocation and no std::function construction —
-/// the queue dispatches straight into Tick(). The node doubles as the edge
+/// every clock edge costs no allocation and no closure construction — the
+/// queue dispatches straight into Tick(). When the queue's run loop would pop
+/// the node next anyway (EventQueue::FireInline), the next edge runs inline,
+/// without the node being scheduled at all. The node doubles as the edge
 /// bookkeeping: node.when() remembers the last processed edge, which is what
 /// prevents a Wake() arriving later in the same tick from double-firing that
 /// edge (the seed kernel tracked this with separate last_edge_/had_edge_
@@ -62,11 +64,17 @@ class TickingComponent {
   };
 
   void OnEdge() {
-    bool again = Tick();
-    // Tick() may have re-armed the node itself (Wake() from inside); only
-    // schedule the next edge if it did not.
-    if (again && !tick_node_.scheduled()) {
-      eq_->Schedule(clock_.NextEdgeAfter(eq_->Now()), &tick_node_);
+    while (Tick()) {
+      // Tick() may have re-armed the node itself (Wake() from inside); only
+      // arm the next edge if it did not.
+      if (tick_node_.scheduled()) return;
+      const ::ndp::sim::Tick next = clock_.NextEdgeAfter(eq_->Now());
+      // Inline next edge: when the run loop would pop this node next anyway,
+      // run that edge here instead of a Schedule/pop round trip.
+      if (!eq_->FireInline(&tick_node_, next)) {
+        eq_->Schedule(next, &tick_node_);
+        return;
+      }
     }
   }
 

@@ -5,8 +5,9 @@
 // couple of words costs a malloc/free pair per construction. InlineFunction
 // keeps a fixed capture budget inline and rejects larger closures at compile
 // time, which makes it safe to build on per-event hot paths. Closures must be
-// trivially copyable (plain captures of pointers and integers): copying an
-// InlineFunction is then a byte copy and destroying one is a no-op.
+// trivially copyable (plain captures of pointers, integers and other
+// InlineFunctions): copying an InlineFunction is then a byte copy and
+// destroying one is a no-op. An empty one (default or nullptr) tests false.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +24,7 @@ template <typename R, typename... Args, size_t kCapacity>
 class InlineFunction<R(Args...), kCapacity> {
  public:
   InlineFunction() = default;
+  InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<

@@ -181,5 +181,34 @@ TEST(SystemModelTest, PredicatedCpuSelectIsSelectivityStable) {
   EXPECT_NEAR(ratio, 1.0, 0.1);
 }
 
+/// One load at a fixed address.
+class OneLoadStream : public cpu::UopStream {
+ public:
+  explicit OneLoadStream(uint64_t addr) : addr_(addr) {}
+  bool Next(cpu::Uop* uop) override {
+    if (done_) return false;
+    done_ = true;
+    *uop = cpu::Uop{};
+    uop->type = cpu::UopType::kLoad;
+    uop->addr = addr_;
+    return true;
+  }
+
+ private:
+  uint64_t addr_;
+  bool done_ = false;
+};
+
+TEST(SystemModelDeathTest, CpuLoadBeyondCapacityAbortsNamingTheAddress) {
+  // Such a load can never be served; read as DRAM backpressure, the L2
+  // would retry it every cycle forever.
+  SystemModel sys(PlatformConfig::Gem5());
+  const uint64_t addr = sys.dram().organization().TotalBytes() + 4096;
+  ASSERT_EQ(addr, 0x80001000u);
+  OneLoadStream stream(addr);
+  EXPECT_DEATH((void)sys.RunStream(&stream),
+               "address 0x80001000 beyond installed capacity");
+}
+
 }  // namespace
 }  // namespace ndp::core

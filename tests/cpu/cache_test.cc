@@ -16,8 +16,7 @@ class FixedLatencySink : public MemSink {
   FixedLatencySink(sim::EventQueue* eq, sim::Tick latency)
       : eq_(eq), latency_(latency) {}
 
-  bool TryAccess(uint64_t addr, bool is_write,
-                 std::function<void(sim::Tick)> cb) override {
+  bool TryAccess(uint64_t addr, bool is_write, Completion cb) override {
     ++accesses_;
     if (is_write) ++writes_;
     if (reject_next_ > 0) {
@@ -27,7 +26,7 @@ class FixedLatencySink : public MemSink {
       return false;
     }
     if (cb) {
-      eq_->ScheduleAfter(latency_, [cb = std::move(cb), this] { cb(eq_->Now()); });
+      eq_->ScheduleAfter(latency_, [cb, this]() mutable { cb(eq_->Now()); });
     }
     addrs_.push_back(addr);
     return true;

@@ -20,8 +20,10 @@ class PerfectMemory : public MemSink {
  public:
   PerfectMemory(sim::EventQueue* eq, sim::Tick latency)
       : eq_(eq), latency_(latency) {}
-  bool TryAccess(uint64_t, bool, std::function<void(sim::Tick)> cb) override {
-    if (cb) eq_->ScheduleAfter(latency_, [cb, this] { cb(eq_->Now()); });
+  bool TryAccess(uint64_t, bool, Completion cb) override {
+    if (cb) {
+      eq_->ScheduleAfter(latency_, [cb, this]() mutable { cb(eq_->Now()); });
+    }
     return true;
   }
 

@@ -96,17 +96,19 @@ TEST_P(DramLivenessProperty, RandomTrafficAlwaysCompletes) {
   std::vector<int> completions(kRequests, 0);
   int issued = 0;
   // Issue in waves, respecting backpressure.
-  std::function<void()> issue_some = [&] {
+  std::function<void()> issue_some;
+  auto on_done = [&](int id) {
+    ++completions[id];
+    ++completed;
+    issue_some();
+  };
+  issue_some = [&] {
     while (issued < kRequests) {
       dram::Request r;
       r.addr = (rng.NextU64() % org.TotalBytes()) & ~uint64_t{63};
       r.is_write = rng.NextBool(0.3);
       int id = issued;
-      r.on_complete = [&, id](sim::Tick) {
-        ++completions[id];
-        ++completed;
-        issue_some();
-      };
+      r.on_complete = [&on_done, id](sim::Tick) { on_done(id); };
       if (!dram.EnqueueRequest(r).ok()) break;
       ++issued;
     }

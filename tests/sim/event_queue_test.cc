@@ -42,9 +42,9 @@ TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
   EventQueue eq;
   int count = 0;
   std::function<void()> chain = [&] {
-    if (++count < 10) eq.ScheduleAfter(5, chain);
+    if (++count < 10) eq.ScheduleAfter(5, [&chain] { chain(); });
   };
-  eq.ScheduleAt(0, chain);
+  eq.ScheduleAt(0, [&chain] { chain(); });
   uint64_t executed = eq.RunUntilEmpty();
   EXPECT_EQ(count, 10);
   EXPECT_EQ(executed, 10u);

@@ -36,6 +36,14 @@ runs=(
   "abl_projection|"
   "abl_sort|"
   "abl_groupby|"
+  "abl_page_policy|"
+  "abl_predication|"
+  "abl_indexing|"
+  "abl_q1_pipeline|"
+  "abl_speed_grades|"
+  "abl_energy|"
+  "abl_interleaving|"
+  "abl_scheduler|"
   "fig3_select_speedup|FIG3_ROWS=65536"
   "fig4_idle_periods|FIG4_SCALE=0.01"
 )
